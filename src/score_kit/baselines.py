@@ -83,10 +83,12 @@ def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
     """Largest threshold whose bounded marginal-risk estimate stays below
     ``alpha``; ``None`` when no grid point qualifies.
 
+    ``calib`` holds CalibSample / ``(score, risk[, weight])`` items or is a
+    :class:`ValidatedBatch`; weights and test points are not used.
     ``rng_draws`` must supply ``rademacher_draws * n`` signs in {-1, +1} for
     the Rademacher variant (unused for Hoeffding).
     """
-    batch = validate_batch(calib, [])
+    batch = validate_batch(calib)
     n = batch.n
     scores, risks = batch.calib_scores, batch.calib_risks
 
@@ -108,7 +110,8 @@ def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
 def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
                                 rng_draws=None) -> float | None:
     """Largest threshold whose bounded selective-risk estimate stays below
-    ``alpha``; ``None`` when no grid point qualifies.
+    ``alpha``; ``None`` when no grid point qualifies.  ``calib`` is read as
+    in :func:`concentration_mdr_threshold`.
 
     The numerator (risk mass below t) is bounded from above and the
     denominator (score mass below t) from below; their ratio is ``inf``
@@ -116,7 +119,7 @@ def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
     consumes ``2 * rademacher_draws * n`` signs: one block for the
     risk-weighted class, one for the indicator class.
     """
-    batch = validate_batch(calib, [])
+    batch = validate_batch(calib)
     n = batch.n
     scores, risks = batch.calib_scores, batch.calib_risks
 

@@ -12,16 +12,13 @@ Subcommands
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Every run with ``--seed`` is bit-reproducible; without it a seed is drawn
 from entropy and printed to stderr for replay.  Floats are written with 17
-significant digits.  The ``SCORE_KIT_THREADS`` environment variable caps
-worker parallelism (the current implementation is single-threaded, which
-always respects the cap).
+significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -65,19 +62,6 @@ def _close_out(fh):
         fh.close()
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("SCORE_KIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"SCORE_KIT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise _UsageError(f"SCORE_KIT_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _load_batch(args):
     """Build the validated batch; weights enter only under --weighted."""
     calib = read_calibration_csv(args.calib)
@@ -97,7 +81,6 @@ def _compute_evalues(args, batch, gamma):
 
 
 def _cmd_select(args) -> int:
-    _threads_cap()
     batch = _load_batch(args)
     gamma = args.gamma if args.gamma is not None else args.alpha
     rng = np.random.default_rng(_resolve_seed(args.seed))
@@ -136,7 +119,6 @@ def _require_weight_columns(args) -> None:
 
 
 def _cmd_evalues(args) -> int:
-    _threads_cap()
     batch = _load_batch(args)
     ev = _compute_evalues(args, batch, args.gamma)
     out = _open_out(args.out)
@@ -154,7 +136,6 @@ _RISK_ALIASES = {"binary-all-one": "one"}
 
 
 def _cmd_simulate(args) -> int:
-    _threads_cap()
     setting = DgpSetting(id=args.setting)
     kind = _RISK_ALIASES.get(args.risk, args.risk)
     if kind == "auto" or kind == canonical_risk(args.setting).kind:
@@ -216,7 +197,6 @@ def _is_float(v: str) -> bool:
 
 
 def _cmd_estimate_weights(args) -> int:
-    _threads_cap()
     src_header, src = _read_feature_csv(args.source)
     tgt_header, tgt = _read_feature_csv(args.target)
     if src_header != tgt_header:

@@ -161,9 +161,12 @@ class ValidatedBatch:
     test_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.calib_scores, self.calib_risks, self.calib_weights,
-                  self.test_scores, self.test_weights):
-            a.flags.writeable = False
+        # Freeze private views: the caller's own arrays stay writeable.
+        for name in ("calib_scores", "calib_risks", "calib_weights",
+                     "test_scores", "test_weights"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:

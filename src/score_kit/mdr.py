@@ -80,22 +80,42 @@ def _stat_and_interval(batch: ValidatedBatch, j: int, levels: Levels) -> tuple[f
     stat = (wj + float(np.sum(batch.calib_weights[covered] * batch.calib_risks[covered]))) / total_w
     if levels.gamma <= levels.alpha:
         return stat, True
+    return stat, bool(_no_crossing(batch, levels, *_sorted_prefix(batch))[j])
 
-    # For gamma > alpha, additionally require that no pooled threshold t and
-    # candidate risk ell in [0, 1] put the statistic inside (alpha, gamma];
-    # linearity in ell reduces this to checking the two endpoints per t.
-    # Only prefix values attained at actual thresholds count, so tied scores
-    # share the final value of their tie group.
+
+def _sorted_prefix(batch: ValidatedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration scores in stable ascending order and the running sum of
+    weight * risk in that order, with a leading zero."""
     order = np.argsort(batch.calib_scores, kind="stable")
-    sorted_scores = batch.calib_scores[order]
-    raw_prefix = np.cumsum((batch.calib_weights * batch.calib_risks)[order])
-    last = np.searchsorted(sorted_scores, sorted_scores, side="right") - 1
-    prefix = raw_prefix[last]
-    k = np.searchsorted(sorted_scores, sj, side="right")
-    p_at_test = prefix[k - 1] if k > 0 else 0.0
-    p_values = np.append(prefix, p_at_test)
-    bad = (p_values <= levels.gamma * total_w) & (wj + p_values > levels.alpha * total_w)
-    return stat, not bool(np.any(bad))
+    prefix = np.cumsum((batch.calib_weights * batch.calib_risks)[order])
+    return batch.calib_scores[order], np.concatenate([[0.0], prefix])
+
+
+def _no_crossing(batch: ValidatedBatch, levels: Levels, sorted_scores: np.ndarray,
+                 prefix0: np.ndarray) -> np.ndarray:
+    """For ``gamma > alpha``, whether each test point passes the extra
+    no-crossing condition: no pooled threshold t and candidate risk ell in
+    [0, 1] put the statistic inside (alpha, gamma].
+
+    Linearity in ell reduces this to the two endpoints per t.  Only prefix
+    values attained at actual thresholds count, so tied scores share the
+    final value of their tie group; the test point's own threshold adds the
+    prefix up to its score.  The condition asks whether some prefix value
+    P <= gamma * T_j has w_j + P > alpha * T_j.  The tie-grouped prefixes
+    are nondecreasing and fl(w_j + P) is monotone in P, so the largest
+    P <= gamma * T_j (one binary search) decides it exactly.
+    """
+    last = np.searchsorted(sorted_scores, sorted_scores, side="right")
+    tied_prefix = prefix0[last]
+    total_w = np.sum(batch.calib_weights) + batch.test_weights
+    cap = levels.gamma * total_w
+    floor = levels.alpha * total_w
+    below = np.searchsorted(tied_prefix, cap, side="right")
+    p_max = tied_prefix[np.maximum(below - 1, 0)]
+    p_test = prefix0[np.searchsorted(sorted_scores, batch.test_scores, side="right")]
+    bad = (below > 0) & (batch.test_weights + p_max > floor)
+    bad |= (p_test <= cap) & (batch.test_weights + p_test > floor)
+    return ~bad
 
 
 def mdr_decide(calib, test_score: float, levels: Levels) -> MdrDecision:
@@ -203,16 +223,11 @@ def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
 
 def deploy_mask(batch: ValidatedBatch, levels: Levels) -> np.ndarray:
     """Deploy decisions for every test point in the batch at once."""
-    order = np.argsort(batch.calib_scores, kind="stable")
-    sorted_scores = batch.calib_scores[order]
-    prefix = np.cumsum((batch.calib_weights * batch.calib_risks)[order])
-    prefix0 = np.concatenate([[0.0], prefix])
+    sorted_scores, prefix0 = _sorted_prefix(batch)
     k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
     total_w = np.sum(batch.calib_weights) + batch.test_weights
     stats = (batch.test_weights + prefix0[k]) / total_w
     mask = stats <= levels.gamma
     if levels.gamma > levels.alpha:
-        for j in np.flatnonzero(mask):
-            _, ok = _stat_and_interval(batch, j, levels)
-            mask[j] = mask[j] and ok
+        mask &= _no_crossing(batch, levels, sorted_scores, prefix0)
     return mask

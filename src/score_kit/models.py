@@ -44,8 +44,11 @@ class KnnRegressor:
     k: int
 
     def __post_init__(self) -> None:
-        self.train_x.flags.writeable = False
-        self.train_y.flags.writeable = False
+        # Freeze private views: the caller's own arrays stay writeable.
+        for name in ("train_x", "train_y"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def knn_fit(train_x, train_y, k: int) -> KnnRegressor:
@@ -63,16 +66,32 @@ def knn_fit(train_x, train_y, k: int) -> KnnRegressor:
 
 
 def knn_predict(model: KnnRegressor, x) -> np.ndarray | float:
-    """Mean of the k nearest training targets; accepts one point or a matrix."""
+    """Mean of the k nearest training targets; accepts one point or a matrix.
+
+    Neighbours are ranked by (squared distance, training index), so a
+    distance tie at the k-th neighbour goes to the lowest training index and
+    the targets are averaged in that order.  Cost: an O(q*n) partial
+    selection plus an O(q*k log k) sort of the k chosen, for q queries
+    against n training points; only rows with a tie at the k-th distance are
+    fully sorted.
+    """
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
     q = np.atleast_2d(q)
+    k = model.k
     # Squared distances via the expansion; the |q|^2 term is rank-preserving
     # but kept so that ties match the literal metric.
     d2 = (np.sum(q * q, axis=1)[:, None]
           - 2.0 * q @ model.train_x.T
           + np.sum(model.train_x * model.train_x, axis=1)[None, :])
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :model.k]
+    chosen = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    chosen_d2 = np.take_along_axis(d2, chosen, axis=1)
+    nearest = np.take_along_axis(chosen, np.argsort(chosen_d2, axis=1, kind="stable"), axis=1)
+    # The chosen k are the stable-sort prefix unless more than k distances
+    # reach the k-th one (or it is nan); re-sort exactly those rows.
+    kth = np.max(chosen_d2, axis=1, keepdims=True)
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
     preds = model.train_y[nearest].mean(axis=1)
     return float(preds[0]) if single else preds
 

@@ -446,20 +446,20 @@ def _select(config: ExperimentConfig, batch: ValidatedBatch, alpha: float,
     return np.asarray(sorted(res.selected), dtype=int)
 
 
-def _baseline_select(kind: str, config: ExperimentConfig, scores_calib, risks_calib,
-                     scores_test, alpha: float, rng: np.random.Generator) -> np.ndarray:
+def _baseline_select(kind: str, config: ExperimentConfig, batch: ValidatedBatch, alpha: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Indices selected by a concentration baseline at level alpha; the
+    baselines read only the batch's scores and calibration risks."""
     bconf = BaselineConfig(kind=kind, delta=config.baseline_delta)
-    calib = list(zip(scores_calib, risks_calib))
-    n = len(scores_calib)
     if config.method == "mdr":
-        draws = rademacher_signs(rng, bconf.rademacher_draws, n) if kind == "rademacher" else None
-        t_hat = concentration_mdr_threshold(calib, bconf, alpha, draws)
+        draws = rademacher_signs(rng, bconf.rademacher_draws, batch.n) if kind == "rademacher" else None
+        t_hat = concentration_mdr_threshold(batch, bconf, alpha, draws)
     else:
-        draws = rademacher_signs(rng, 2 * bconf.rademacher_draws, n) if kind == "rademacher" else None
-        t_hat = concentration_sdr_threshold(calib, bconf, alpha, draws)
+        draws = rademacher_signs(rng, 2 * bconf.rademacher_draws, batch.n) if kind == "rademacher" else None
+        t_hat = concentration_sdr_threshold(batch, bconf, alpha, draws)
     if t_hat is None:
         return np.empty(0, dtype=int)
-    return np.flatnonzero(scores_test <= t_hat)
+    return np.flatnonzero(batch.test_scores <= t_hat)
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
@@ -486,8 +486,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                                    scores_test, np.asarray(rep["w_test"]))
             selections = {config.method: _select(config, batch, alpha, rng)}
             for b in config.baselines:
-                selections[f"{config.method}_{b}"] = _baseline_select(
-                    b, config, scores_calib, rep["calib_risks"], scores_test, alpha, rng)
+                selections[f"{config.method}_{b}"] = _baseline_select(b, config, batch, alpha, rng)
             for name, sel in selections.items():
                 sdr_realized, total_risk, total_reward = compute_metrics(
                     sel, rep["test_risks"], rep["test_rewards"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
-                       concentration_sdr_threshold, rademacher_signs)
+                       concentration_sdr_threshold, rademacher_signs, validate_batch)
 
 
 def _hoeffding_eps(n, grid_size, delta):
@@ -137,3 +137,23 @@ def test_invalid_config():
     with pytest.raises(InvalidConfig):
         concentration_mdr_threshold([(0.1, 0.2)], BaselineConfig("rademacher"),
                                     alpha=0.3, rng_draws=np.zeros((100, 1)))
+
+
+def test_batch_and_pairs_give_same_threshold():
+    rng = np.random.default_rng(69)
+    n = 1000
+    scores = np.round(rng.uniform(size=n), 2)
+    risks = scores * rng.uniform(size=n)
+    batch = validate_batch(list(zip(scores, risks, rng.uniform(0.5, 2.0, size=n))),
+                           list(rng.uniform(size=20)))
+    found = []
+    for kind in ("hoeffding", "rademacher"):
+        config = BaselineConfig(kind)
+        draws = rademacher_signs(rng, 2 * config.rademacher_draws, n)
+        for fn, signs in ((concentration_mdr_threshold, draws[:config.rademacher_draws]),
+                          (concentration_sdr_threshold, draws)):
+            for alpha in (0.1, 0.2, 0.4):
+                from_pairs = fn(list(zip(scores, risks)), config, alpha, signs)
+                assert fn(batch, config, alpha, signs) == from_pairs
+                found.append(from_pairs)
+    assert sum(t is not None and t < 1.0 for t in found) >= 3

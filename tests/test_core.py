@@ -5,7 +5,7 @@ import pytest
 
 from score_kit import (CalibSample, EmptyCalibration, Levels, NonFiniteScore,
                        NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler,
-                       SchemaError, TestPoint, read_calibration_csv, read_test_csv,
+                       SchemaError, TestPoint, ValidatedBatch, read_calibration_csv, read_test_csv,
                        rescale_risk, unrescale, validate_batch)
 
 
@@ -56,6 +56,15 @@ def test_batch_arrays_are_read_only():
     batch = validate_batch([(0.1, 0.2)], [0.3])
     with pytest.raises(ValueError):
         batch.calib_risks[0] = 0.5
+
+
+def test_batch_leaves_caller_arrays_writeable():
+    arrays = [np.array([0.1, 0.4]), np.array([0.2, 0.3]), np.ones(2),
+              np.array([0.3]), np.ones(1)]
+    batch = ValidatedBatch(*arrays)
+    assert all(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        batch.calib_scores[0] = 0.5
 
 
 def test_rescale_identity_and_endpoints():

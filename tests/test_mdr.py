@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from score_kit import (Levels, TestPoint, mdr_decide, mdr_evalue, mdr_evalue_oracle,
+from score_kit import (Levels, TestPoint, ValidatedBatch, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
                        weighted_mdr_decide, weighted_mdr_evalue,
                        weighted_mdr_evalue_oracle)
 from helpers import (exchangeable_pairs, mc_bound_ok, random_mdr_instance,
@@ -202,3 +202,38 @@ def test_weighted_evalue_validity_squared_error_risk():
         per_rep.append(risk_evalue_products(tl, vals).mean())
     ok, mean, se = mc_bound_ok(per_rep)
     assert ok, f"mean(L*E) = {mean:.4f} > 1 + 3*{se:.4f}"
+
+
+def _no_crossing_per_point(batch, j, levels):
+    """The gamma > alpha condition for one test point, checked at every
+    tie-grouped prefix value and at the test point's own threshold."""
+    wj = batch.test_weights[j]
+    total_w = wj + float(np.sum(batch.calib_weights))
+    order = np.argsort(batch.calib_scores, kind="stable")
+    sorted_scores = batch.calib_scores[order]
+    raw_prefix = np.cumsum((batch.calib_weights * batch.calib_risks)[order])
+    prefix = raw_prefix[np.searchsorted(sorted_scores, sorted_scores, side="right") - 1]
+    k = np.searchsorted(sorted_scores, batch.test_scores[j], side="right")
+    p_values = np.append(prefix, prefix[k - 1] if k > 0 else 0.0)
+    bad = (p_values <= levels.gamma * total_w) & (wj + p_values > levels.alpha * total_w)
+    return not bool(np.any(bad))
+
+
+def test_deploy_mask_gamma_above_alpha_matches_per_point_rule():
+    rng = np.random.default_rng(41)
+    for trial in range(600):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 15))
+        cs = rng.integers(0, 5, size=n).astype(float)
+        ts = rng.integers(0, 5, size=m).astype(float)
+        cl = rng.integers(0, 5, size=n) / 4.0
+        if trial % 2:
+            cw = rng.integers(1, 5, size=n) / 2.0
+            tw = rng.integers(1, 5, size=m) / 2.0
+        else:
+            cw, tw = np.ones(n), np.ones(m)
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5]))
+        levels = Levels(alpha, alpha + float(rng.choice([0.05, 0.1, 0.25])))
+        batch = ValidatedBatch(cs, cl, cw, ts, tw)
+        plain = deploy_mask(batch, Levels(levels.gamma))
+        expected = [bool(plain[j]) and _no_crossing_per_point(batch, j, levels) for j in range(m)]
+        assert deploy_mask(batch, levels).tolist() == expected

@@ -45,6 +45,38 @@ def test_knn_distance_ties_lowest_index():
     assert knn_predict(model2, [0.0]) == 20.0
 
 
+def _knn_reference(x, y, k, q):
+    """Full stable sort of every distance row: the literal tie-break."""
+    q = np.atleast_2d(q)
+    d2 = np.sum(q * q, axis=1)[:, None] - 2.0 * q @ x.T + np.sum(x * x, axis=1)[None, :]
+    return y[np.argsort(d2, axis=1, kind="stable")[:, :k]].mean(axis=1)
+
+
+def test_knn_matches_stable_sort_reference():
+    # integer-grid features put many distance ties across the k-th neighbour
+    rng = np.random.default_rng(58)
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        x = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        y = rng.normal(size=n)
+        q = rng.integers(-2, 3, size=(int(rng.integers(1, 20)), 2)).astype(float)
+        for k in {1, int(rng.integers(1, n + 1)), n}:
+            model = knn_fit(x, y, k)
+            assert knn_predict(model, q).tobytes() == _knn_reference(x, y, k, q).tobytes()
+            single = knn_predict(model, q[0])
+            assert isinstance(single, float)
+            assert single == _knn_reference(x, y, k, q[0])[0]
+
+
+def test_knn_fit_leaves_caller_arrays_writeable():
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0.0, 1.0, 4.0])
+    model = knn_fit(x, y, k=2)
+    assert x.flags.writeable and y.flags.writeable
+    with pytest.raises(ValueError):
+        model.train_y[0] = 1.0
+
+
 def test_logistic_weights_near_one_without_shift():
     rng = np.random.default_rng(52)
     src = rng.uniform(-1, 1, size=(1000, 5))
