@@ -6,6 +6,11 @@ variant bounds the curve on a fixed grid; the Rademacher variant bounds it
 uniformly over all thresholds via the empirical Rademacher complexity of the
 indicator class, estimated from injected sign draws.  Both give
 high-probability (not exact) control and serve as power comparators.
+
+The empirical risk curve is a prefix sum over the score-sorted calibration
+data read at each grid point, so a threshold costs O((n + g) log n) time and
+O(n + g) memory for a grid of g points, plus the k-by-n sign draws the
+Rademacher variant consumes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreKitError, validate_batch
+from .core import ScoreKitError, _sorted_prefix, validate_batch
 
 __all__ = [
     "InvalidConfig",
@@ -102,7 +107,8 @@ def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
         rad = _empirical_rademacher(scores, risks, signs)
         slack = np.full(grid.size, 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n)))
 
-    mdr_hat = np.sum(risks[None, :] * (scores[None, :] <= grid[:, None]), axis=1) / n
+    sorted_scores, prefix0 = _sorted_prefix(scores, risks)
+    mdr_hat = prefix0[np.searchsorted(sorted_scores, grid, side="right")] / n
     ok = np.flatnonzero(mdr_hat + slack <= alpha)
     return float(grid[ok[-1]]) if ok.size else None
 
@@ -137,9 +143,10 @@ def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
         num_slack = 2.0 * rad_risk + tail
         den_slack = 2.0 * rad_ind + tail
 
-    below = scores[None, :] <= grid[:, None]
-    a = np.sum(risks[None, :] * below, axis=1) / n + num_slack
-    b = np.sum(below, axis=1) / n - den_slack
+    sorted_scores, prefix0 = _sorted_prefix(scores, risks)
+    below = np.searchsorted(sorted_scores, grid, side="right")   # scores <= each grid point
+    a = prefix0[below] / n + num_slack
+    b = below / n - den_slack
     with np.errstate(divide="ignore", invalid="ignore"):
         sdr_plus = np.where(b > 0.0, a / np.maximum(b, 1e-300), np.inf)
     ok = np.flatnonzero(sdr_plus <= alpha)

@@ -10,9 +10,10 @@ Subcommands
                       classification and score a query file
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
-Every run with ``--seed`` is bit-reproducible; without it a seed is drawn
-from entropy and printed to stderr for replay.  Floats are written with 17
-significant digits.
+Every run with ``--seed`` is bit-reproducible.  A run that makes random
+draws (``simulate``, ``select`` with a boost) and gets no ``--seed`` draws
+one from entropy and prints it to stderr for replay; other runs draw none.
+Floats are written with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -62,14 +63,32 @@ def _close_out(fh):
         fh.close()
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write ``header`` and then one row per position of the equal-length
+    ``columns`` to ``path`` (stdout when ``None``)."""
+    out = _open_out(path)
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+    finally:
+        _close_out(out)
+
+
+def _formatted(values: np.ndarray) -> list[str]:
+    return [_FMT(v) for v in values.tolist()]
+
+
 def _load_batch(args):
     """Build the validated batch; weights enter only under --weighted."""
     calib = read_calibration_csv(args.calib)
     tests = read_test_csv(args.test)
-    if args.weighted:
-        _require_weight_columns(args)
-        return validate_batch(calib, tests)
-    return validate_batch([(c.score, c.risk) for c in calib], [t.score for t in tests])
+    if not args.weighted:
+        return validate_batch(calib[["score", "risk"]], tests[["score"]])
+    for path, rows in ((args.calib, calib), (args.test, tests)):
+        if "weight" not in rows.dtype.names:
+            raise ScoreKitError(f"{path}: --weighted requires a 'weight' column")
+    return validate_batch(calib, tests)
 
 
 def _compute_evalues(args, batch, gamma):
@@ -83,52 +102,34 @@ def _compute_evalues(args, batch, gamma):
 def _cmd_select(args) -> int:
     batch = _load_batch(args)
     gamma = args.gamma if args.gamma is not None else args.alpha
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    index, scores = range(batch.m), _formatted(batch.test_scores)
+    if args.method == "mdr":
+        mask = deploy_mask(batch, Levels(alpha=args.alpha, gamma=gamma))
+        _write_csv(args.out, ["index", "score", "deploy"],
+                   (index, scores, mask.astype(int).tolist()))
+        return 0
 
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        if args.method == "mdr":
-            mask = deploy_mask(batch, Levels(alpha=args.alpha, gamma=gamma))
-            writer.writerow(["index", "score", "deploy"])
-            for j in range(batch.m):
-                writer.writerow([j, _FMT(batch.test_scores[j]), int(mask[j])])
+    ev = _compute_evalues(args, batch, gamma)
+    if args.boost == "none":
+        result = ebh(ev, args.alpha)
+    else:
+        rng = np.random.default_rng(_resolve_seed(args.seed))
+        if args.boost == "hete":
+            result = boost_hete(ev, args.alpha, 1.0 - rng.uniform(size=batch.m))
         else:
-            ev = _compute_evalues(args, batch, gamma)
-            if args.boost == "none":
-                result = ebh(ev, args.alpha)
-            elif args.boost == "hete":
-                result = boost_hete(ev, args.alpha, 1.0 - rng.uniform(size=batch.m))
-            else:
-                result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
-            writer.writerow(["index", "score", "evalue", "selected"])
-            for j in range(batch.m):
-                writer.writerow([j, _FMT(batch.test_scores[j]), _FMT(ev[j]),
-                                 int(j in result.selected)])
-    finally:
-        _close_out(out)
+            result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
+    selected = np.zeros(batch.m, dtype=int)
+    selected[list(result.selected)] = 1
+    _write_csv(args.out, ["index", "score", "evalue", "selected"],
+               (index, scores, _formatted(ev), selected.tolist()))
     return 0
-
-
-def _require_weight_columns(args) -> None:
-    for path in (args.calib, args.test):
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-        if header is None or "weight" not in header:
-            raise ScoreKitError(f"{path}: --weighted requires a 'weight' column")
 
 
 def _cmd_evalues(args) -> int:
     batch = _load_batch(args)
     ev = _compute_evalues(args, batch, args.gamma)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["index", "score", "evalue"])
-        for j in range(batch.m):
-            writer.writerow([j, _FMT(batch.test_scores[j]), _FMT(ev[j])])
-    finally:
-        _close_out(out)
+    _write_csv(args.out, ["index", "score", "evalue"],
+               (range(batch.m), _formatted(batch.test_scores), _formatted(ev)))
     return 0
 
 
@@ -217,15 +218,7 @@ def _cmd_estimate_weights(args) -> int:
     else:
         query = tgt
     weights = np.atleast_1d(weight_predict(model, query))
-
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["index", "weight"])
-        for j, w in enumerate(weights):
-            writer.writerow([j, _FMT(w)])
-    finally:
-        _close_out(out)
+    _write_csv(args.out, ["index", "weight"], (range(weights.size), _formatted(weights)))
     return 0
 
 

@@ -19,8 +19,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -181,7 +181,21 @@ class ValidatedBatch:
         return bool(np.all(self.calib_weights == 1.0) and np.all(self.test_weights == 1.0))
 
 
+def _column(rows: np.ndarray, name: str) -> np.ndarray:
+    """A contiguous float copy of one field of a structured array; a missing
+    ``weight`` field means unit weights."""
+    if name == "weight" and name not in rows.dtype.names:
+        return np.ones(rows.shape[0])
+    return np.array(rows[name], dtype=float)
+
+
+def _is_columnar(items) -> bool:
+    return isinstance(items, np.ndarray) and items.dtype.names is not None
+
+
 def _as_calib_arrays(calib: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if _is_columnar(calib):
+        return _column(calib, "score"), _column(calib, "risk"), _column(calib, "weight")
     scores, risks, weights = [], [], []
     for item in calib:
         if isinstance(item, CalibSample):
@@ -199,6 +213,8 @@ def _as_calib_arrays(calib: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _as_test_arrays(tests: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    if _is_columnar(tests):
+        return _column(tests, "score"), _column(tests, "weight")
     scores, weights = [], []
     for item in tests:
         if isinstance(item, TestPoint):
@@ -214,13 +230,30 @@ def _as_test_arrays(tests: Iterable) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(scores, dtype=float), np.asarray(weights, dtype=float)
 
 
+def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` in stable ascending order and the running sum of ``contrib``
+    in that order, with a leading zero.
+
+    ``prefix0[np.searchsorted(sorted_keys, t, side="right")]`` is then the
+    sum of ``contrib`` over ``keys <= t``, for any array of thresholds ``t``:
+    tied keys share the value that closes their tie group and a threshold
+    below every key gets 0.  This is the one way the package sums over
+    "score <= threshold": O((n + q) log n) time and O(n + q) memory for q
+    thresholds, with no q-by-n comparison matrix.
+    """
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([[0.0], np.cumsum(contrib[order])])
+
+
 def validate_batch(calib, tests=None) -> ValidatedBatch:
     """Validate calibration samples and test points into a :class:`ValidatedBatch`.
 
     Accepts sequences of :class:`CalibSample` / :class:`TestPoint`, plain
-    tuples ``(score, risk[, weight])`` / ``(score[, weight])``, or bare test
-    scores.  Passing an existing :class:`ValidatedBatch` returns it unchanged
-    (validation is idempotent).
+    tuples ``(score, risk[, weight])`` / ``(score[, weight])``, bare test
+    scores, or the structured arrays returned by :func:`read_calibration_csv`
+    / :func:`read_test_csv` (read column by column; a missing ``weight``
+    field means unit weights).  Passing an existing :class:`ValidatedBatch`
+    returns it unchanged (validation is idempotent).
 
     Raises
     ------
@@ -255,44 +288,67 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # ---------------------------------------------------------------------------
 # CSV schemas.  Calibration: header ``score,risk[,weight]``; test: header
 # ``score[,weight]``.  Missing weight column means weight 1.  Extra columns
-# are ignored.  Comma-separated, UTF-8, '.' decimal, header required.
+# are ignored, and so are blank lines.  Comma-separated, UTF-8, '.' decimal,
+# header required.
 # ---------------------------------------------------------------------------
 
-def _parse_cell(row: dict, col: str, line: int) -> float:
-    raw = row.get(col)
-    if raw is None or raw == "":
-        raise SchemaError(f"missing value for column {col!r}", line=line)
-    try:
-        return float(raw)
-    except ValueError:
-        raise SchemaError(f"non-numeric value {raw!r} in column {col!r}", line=line) from None
-
-
-def _read_rows(path, required: Sequence[str], optional: Sequence[str]):
+def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
+    """Rescan ``path`` row by row and raise a :class:`SchemaError` naming the
+    physical line of the first missing or non-numeric cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            for col in names:
+                i = position[col]
+                raw = row[i] if i < len(row) else ""
+                if raw == "":
+                    raise SchemaError(f"missing value for column {col!r}", line=reader.line_num)
+                try:
+                    float(raw)
+                except ValueError:
+                    raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
+                                      line=reader.line_num) from None
+    raise SchemaError("file changed while it was being read")
+
+
+def _read_columns(path, required: Sequence[str], optional: Sequence[str]) -> np.ndarray:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise SchemaError("file is empty, expected a header row", line=1)
         for col in required:
             if col not in header:
                 raise SchemaError(
                     f"missing required column {col!r} (header is {header})", line=1)
-        present_optional = [c for c in optional if c in header]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            values = {c: _parse_cell(row, c, line_no) for c in (*required, *present_optional)}
-            rows.append(values)
-    return rows
+        names = [*required, *(c for c in optional if c in header)]
+        position = {col: i for i, col in enumerate(header)}   # a repeated name reads its last column
+        rows = [row for row in reader if row]
+    out = np.empty(len(rows), dtype=[(col, float) for col in names])
+    try:
+        for col in names:
+            out[col] = np.fromiter(map(float, map(itemgetter(position[col]), rows)),
+                                   dtype=float, count=len(rows))
+    except (IndexError, ValueError):
+        _raise_first_bad_cell(path, names, position)
+    return out
 
 
-def read_calibration_csv(path) -> list[CalibSample]:
-    """Read calibration samples from a ``score,risk[,weight]`` CSV file."""
-    rows = _read_rows(path, required=("score", "risk"), optional=("weight",))
-    return [CalibSample(r["score"], r["risk"], r.get("weight", 1.0)) for r in rows]
+def read_calibration_csv(path) -> np.ndarray:
+    """Read a ``score,risk[,weight]`` CSV file into a structured array.
+
+    The array has one float64 field per schema column present in the header
+    (``score``, ``risk`` and, if present, ``weight``) and one element per
+    data row, so ``len()`` is the row count.  Each cell is parsed with
+    Python's ``float``.
+    """
+    return _read_columns(path, required=("score", "risk"), optional=("weight",))
 
 
-def read_test_csv(path) -> list[TestPoint]:
-    """Read test points from a ``score[,weight]`` CSV file."""
-    rows = _read_rows(path, required=("score",), optional=("weight",))
-    return [TestPoint(r["score"], r.get("weight", 1.0)) for r in rows]
+def read_test_csv(path) -> np.ndarray:
+    """Read a ``score[,weight]`` CSV file into a structured array with fields
+    ``score`` and, if present, ``weight`` (as :func:`read_calibration_csv`)."""
+    return _read_columns(path, required=("score",), optional=("weight",))

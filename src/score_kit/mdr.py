@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Levels, TestPoint, ValidatedBatch, validate_batch
+from .core import Levels, TestPoint, ValidatedBatch, _sorted_prefix, validate_batch
 from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _require_unit_weights, _sdr_kernel
 
 __all__ = [
@@ -80,15 +80,8 @@ def _stat_and_interval(batch: ValidatedBatch, j: int, levels: Levels) -> tuple[f
     stat = (wj + float(np.sum(batch.calib_weights[covered] * batch.calib_risks[covered]))) / total_w
     if levels.gamma <= levels.alpha:
         return stat, True
-    return stat, bool(_no_crossing(batch, levels, *_sorted_prefix(batch))[j])
-
-
-def _sorted_prefix(batch: ValidatedBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Calibration scores in stable ascending order and the running sum of
-    weight * risk in that order, with a leading zero."""
-    order = np.argsort(batch.calib_scores, kind="stable")
-    prefix = np.cumsum((batch.calib_weights * batch.calib_risks)[order])
-    return batch.calib_scores[order], np.concatenate([[0.0], prefix])
+    prefix = _sorted_prefix(batch.calib_scores, batch.calib_weights * batch.calib_risks)
+    return stat, bool(_no_crossing(batch, levels, *prefix)[j])
 
 
 def _no_crossing(batch: ValidatedBatch, levels: Levels, sorted_scores: np.ndarray,
@@ -223,7 +216,8 @@ def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
 
 def deploy_mask(batch: ValidatedBatch, levels: Levels) -> np.ndarray:
     """Deploy decisions for every test point in the batch at once."""
-    sorted_scores, prefix0 = _sorted_prefix(batch)
+    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores,
+                                            batch.calib_weights * batch.calib_risks)
     k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
     total_w = np.sum(batch.calib_weights) + batch.test_weights
     stats = (batch.test_weights + prefix0[k]) / total_w

@@ -23,12 +23,15 @@ every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 ``w_j + sum_i w_i``, and the ``ell`` term weighted by ``w_j``.
 
 :func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the infimum
-exactly in ``O((n+m) m + (n+m) log(n+m))`` by reducing the continuous search
-over ``ell`` to the finite breakpoint set where the threshold map changes
-value.  :func:`sdr_evalues_oracle` / :func:`weighted_sdr_evalues_oracle` are
-deliberately separate brute-force transcriptions used for verification, and
-:func:`sdr_evalues_conservative` implements a simpler, slightly conservative
-variant that avoids the infimum altogether.
+exactly in ``O((n+m) m + (n+m) log(n+m))`` time by reducing the continuous
+search over ``ell`` to the finite breakpoint set where the threshold map
+changes value.  :func:`sdr_evalues_conservative` implements a simpler,
+slightly conservative variant that avoids the infimum altogether, in
+``O((n+m) log(n+m))`` time.  Both read prefix sums over the score-sorted
+pooled data and hold ``O(n+m)`` memory.  :func:`sdr_evalues_oracle` /
+:func:`weighted_sdr_evalues_oracle` are deliberately separate brute-force
+transcriptions used for verification; they build threshold-by-n comparison
+matrices and are meant for small instances.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidatedBatch, validate_batch
+from .core import ValidatedBatch, _sorted_prefix, validate_batch
 
 __all__ = [
     "SdrEvalueSet",
@@ -74,14 +77,6 @@ def _require_unit_weights(batch: ValidatedBatch, name: str) -> None:
         raise ValueError(f"{name} is the unweighted path; use the weighted_ variant for non-unit weights")
 
 
-def _tied_prefix(sorted_vals: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sums over a sorted array where tied values share the
-    final value of their tie group (a vectorized backward pass)."""
-    raw = np.cumsum(contrib)
-    last = np.searchsorted(sorted_vals, sorted_vals, side="right") - 1
-    return raw[last]
-
-
 def _sdr_kernel(batch: ValidatedBatch, gamma: float):
     """Exact e-values via the breakpoint reduction, shared by the unweighted
     and weighted paths (unit weights recover the exchangeable formulas).
@@ -91,18 +86,13 @@ def _sdr_kernel(batch: ValidatedBatch, gamma: float):
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     n, m = batch.n, batch.m
-    pooled = np.concatenate([batch.calib_scores, batch.test_scores])
-    order = np.argsort(pooled, kind="stable")
-    vals = pooled[order]
-    is_test = np.zeros(n + m, dtype=bool)
-    is_test[n:] = True
-    is_test = is_test[order]
-    risk_contrib = np.concatenate([batch.calib_weights * batch.calib_risks, np.zeros(m)])[order]
-
-    # A[i] = sum of weighted calibration risks with score <= vals[i];
-    # ntest[i] = number of test scores <= vals[i].  Ties share prefix values.
-    A = _tied_prefix(vals, risk_contrib)
-    ntest = _tied_prefix(vals, is_test.astype(float))
+    # vals = pooled scores in ascending order; A[i] = sum of weighted
+    # calibration risks with score <= vals[i]; ntest[i] = number of test
+    # scores <= vals[i].  Ties share prefix values.
+    vals, prefix0 = _sorted_prefix(np.concatenate([batch.calib_scores, batch.test_scores]),
+                                   np.concatenate([batch.calib_weights * batch.calib_risks, np.zeros(m)]))
+    A = prefix0[np.searchsorted(vals, vals, side="right")]
+    ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
     calib_wsum = float(np.sum(batch.calib_weights))
 
     evalues = np.zeros(m)
@@ -332,6 +322,9 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     risk (counting the test point's own risk as 1) stays below ``alpha`` and
     ``t_tilde`` is its analogue without the test term.  The e-value is zero
     when ``t_hat_j`` does not exist or no test score falls below ``t_tilde``.
+
+    Every quantity is a prefix over the score-sorted data, so the whole set
+    takes O((n+m) log(n+m)) time and O(n+m) memory.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -340,29 +333,33 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     n, m = batch.n, batch.m
 
     thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
-    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
-    risk_sum = calib_below @ batch.calib_risks
-    test_count = np.sum(batch.test_scores[None, :] <= thresholds[:, None], axis=1)
+    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores, batch.calib_risks)
+    risk_sum = prefix0[np.searchsorted(sorted_scores, thresholds, side="right")]
+    test_count = np.searchsorted(np.sort(batch.test_scores), thresholds, side="right")
 
-    def largest_feasible(numerator: np.ndarray) -> float:
+    def feasible(numerator: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
                              np.where(numerator > 0, np.inf, 0.0))
-        fr = ratio * (m / (n + 1.0))
-        feasible = np.flatnonzero(fr <= alpha)
-        return float(thresholds[feasible[-1]]) if feasible.size else np.nan
+        return ratio * (m / (n + 1.0)) <= alpha
 
-    t_tilde = largest_feasible(risk_sum)
-    denom_count = int(np.sum(batch.test_scores <= t_tilde)) if not np.isnan(t_tilde) else 0
+    # last_plain[k + 1] = largest threshold index <= k feasible without the
+    # test term (-1 if none).  Point j's own term adds 1 exactly at the
+    # thresholds >= s_j, from index first[j] on, so t_hat_j is the last
+    # feasible index with it when that index is >= first[j], and otherwise
+    # the last plain-feasible index below first[j].
+    idx = np.arange(thresholds.size)
+    last_plain = np.maximum.accumulate(np.concatenate(([-1], np.where(feasible(risk_sum), idx, -1))))
+    plus = np.flatnonzero(feasible(risk_sum + 1.0))
+    last_plus = plus[-1] if plus.size else -1
+    first = np.searchsorted(thresholds, batch.test_scores, side="left")
+    hat = np.where(last_plus >= first, last_plus, last_plain[first])
 
+    tilde = last_plain[-1]
+    t_tilde = thresholds[tilde] if tilde >= 0 else np.nan
+    denom_count = test_count[tilde] if tilde >= 0 else 0
+    t_hat = np.where(hat >= 0, thresholds[hat], np.nan)
     evalues = np.zeros(m)
-    t_hat = np.full(m, np.nan)
-    for j in range(m):
-        sj = batch.test_scores[j]
-        t_hat[j] = largest_feasible(risk_sum + (sj <= thresholds))
-        if np.isnan(t_hat[j]) or sj > t_hat[j] or denom_count == 0:
-            continue
-        evalues[j] = (m / alpha) / denom_count
-
-    t_tilde_arr = np.full(m, t_tilde)
-    return SdrEvalueSet(evalues, t_tilde_arr, t_hat)
+    if denom_count:
+        evalues[hat >= first] = (m / alpha) / denom_count
+    return SdrEvalueSet(evalues, np.full(m, t_tilde), t_hat)

@@ -137,13 +137,17 @@ def conformal_pvalues(calib_scores, test_scores) -> np.ndarray:
     """Rank-based conformal p-values ``(1 + #{V_i <= v_hat_j}) / (n + 1)``.
 
     ``+inf`` entries in ``calib_scores`` are legal (clipped nonconformity
-    scores use them to encode safe calibration points).
+    scores use them to encode safe calibration points); ``nan`` is not.
+    Counts come from one sort and a binary search per test score:
+    O((n + m) log n) time and O(n + m) memory.
     """
     v = np.asarray(calib_scores, dtype=float)
     vhat = np.asarray(test_scores, dtype=float)
     if v.size == 0 or vhat.size == 0:
         raise EmptyInput("need non-empty calibration and test score lists")
-    counts = np.sum(v[None, :] <= vhat[:, None], axis=1)
+    if np.isnan(v).any() or np.isnan(vhat).any():
+        raise ValueError("conformal scores must not be nan")
+    counts = np.searchsorted(np.sort(v), vhat, side="right")
     return (1.0 + counts) / (v.size + 1.0)
 
 

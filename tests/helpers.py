@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from score_kit import validate_batch
+from score_kit.baselines import _as_signs, _empirical_rademacher
+
 # Deployed e-values sit mathematically at exactly 1/level on the decision
 # boundary (the construction is one-hot there), so thresholded comparisons
 # of independently computed values need a one-sided relative guard.
@@ -81,3 +84,79 @@ def mc_bound_ok(per_rep_means, bound=1.0, k_se=3.0):
     arr = np.asarray(per_rep_means, dtype=float)
     se = arr.std(ddof=1) / np.sqrt(arr.size)
     return arr.mean() <= bound + k_se * se, float(arr.mean()), float(se)
+
+
+# ---------------------------------------------------------------------------
+# Dense references: straight transcriptions that compare every threshold with
+# every score (a threshold-by-n matrix).  The library computes the same sums
+# as sorted prefixes; on dyadic data both are exact, so results must be equal.
+# ---------------------------------------------------------------------------
+
+def dense_sdr_evalues_conservative(calib, tests, alpha):
+    """``(evalues, t_tilde, t_hat)`` of ``sdr_evalues_conservative``, one
+    per-point scan over the pooled thresholds."""
+    batch = validate_batch(calib, tests)
+    n, m = batch.n, batch.m
+    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
+    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
+    risk_sum = calib_below @ batch.calib_risks
+    test_count = np.sum(batch.test_scores[None, :] <= thresholds[:, None], axis=1)
+
+    def largest_feasible(numerator):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
+                             np.where(numerator > 0, np.inf, 0.0))
+        feasible = np.flatnonzero(ratio * (m / (n + 1.0)) <= alpha)
+        return float(thresholds[feasible[-1]]) if feasible.size else np.nan
+
+    t_tilde = largest_feasible(risk_sum)
+    denom_count = int(np.sum(batch.test_scores <= t_tilde)) if not np.isnan(t_tilde) else 0
+    evalues = np.zeros(m)
+    t_hat = np.full(m, np.nan)
+    for j in range(m):
+        sj = batch.test_scores[j]
+        t_hat[j] = largest_feasible(risk_sum + (sj <= thresholds))
+        if np.isnan(t_hat[j]) or sj > t_hat[j] or denom_count == 0:
+            continue
+        evalues[j] = (m / alpha) / denom_count
+    return evalues, np.full(m, t_tilde), t_hat
+
+
+def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
+    """``concentration_mdr_threshold`` from a grid-by-n comparison matrix."""
+    batch = validate_batch(calib)
+    n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
+    if config.kind == "hoeffding":
+        grid = np.linspace(0.0, 1.0, config.grid_size)
+        slack = np.sqrt(np.log(2.0 * config.grid_size / config.delta) / (2.0 * n))
+    else:
+        grid = np.unique(scores)
+        signs = _as_signs(rng_draws, config.rademacher_draws, n)
+        rad = _empirical_rademacher(scores, risks, signs)
+        slack = 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n))
+    mdr_hat = np.sum(risks[None, :] * (scores[None, :] <= grid[:, None]), axis=1) / n
+    ok = np.flatnonzero(mdr_hat + slack <= alpha)
+    return float(grid[ok[-1]]) if ok.size else None
+
+
+def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
+    """``concentration_sdr_threshold`` from a grid-by-n comparison matrix."""
+    batch = validate_batch(calib)
+    n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
+    if config.kind == "hoeffding":
+        grid = np.linspace(0.0, 1.0, config.grid_size)
+        num_slack = den_slack = np.sqrt(np.log(4.0 * config.grid_size / config.delta) / (2.0 * n))
+    else:
+        grid = np.unique(scores)
+        k = config.rademacher_draws
+        signs = _as_signs(rng_draws, 2 * k, n)
+        tail = 3.0 * np.sqrt(np.log(4.0 / config.delta) / (2.0 * n))
+        num_slack = 2.0 * _empirical_rademacher(scores, risks, signs[:k]) + tail
+        den_slack = 2.0 * _empirical_rademacher(scores, np.ones(n), signs[k:]) + tail
+    below = scores[None, :] <= grid[:, None]
+    a = np.sum(risks[None, :] * below, axis=1) / n + num_slack
+    b = np.sum(below, axis=1) / n - den_slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sdr_plus = np.where(b > 0.0, a / np.maximum(b, 1e-300), np.inf)
+    ok = np.flatnonzero(sdr_plus <= alpha)
+    return float(grid[ok[-1]]) if ok.size else None

@@ -6,6 +6,8 @@ The heavy Monte-Carlo grids are shared through module-scoped fixtures; the
 full module runs in a few minutes on a laptop-class machine.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,7 @@ def test_criterion_6_shift_control_with_estimated_weights():
         for method in ("mdr", "sdr"):
             cfg = _config(2, method=method, shift=sk.ShiftModel(shift),
                           weighted="estimated", alpha_grid=(0.1, 0.2, 0.3),
-                          seed=20_250_000 + hash(shift) % 1000)
+                          seed=20_250_000 + zlib.crc32(shift.encode()) % 1000)
             for r in sk.run_experiment(cfg):
                 if r.realized_risk > r.alpha + 3.0 * r.se_risk:
                     violations.append((shift, method, r.alpha, r.realized_risk, r.se_risk))

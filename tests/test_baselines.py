@@ -5,6 +5,7 @@ import pytest
 
 from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
                        concentration_sdr_threshold, rademacher_signs, validate_batch)
+from helpers import dense_concentration_mdr_threshold, dense_concentration_sdr_threshold
 
 
 def _hoeffding_eps(n, grid_size, delta):
@@ -157,3 +158,27 @@ def test_batch_and_pairs_give_same_threshold():
                 assert fn(batch, config, alpha, signs) == from_pairs
                 found.append(from_pairs)
     assert sum(t is not None and t < 1.0 for t in found) >= 3
+
+
+def test_thresholds_equal_dense_reference():
+    # 0.1-grid tied scores and quarter risks keep every sum exact, so the
+    # sorted-prefix curves must pick the same thresholds as the dense matrix
+    rng = np.random.default_rng(70)
+    alphas = (0.1, 0.2, 0.25, 0.3, 0.5)
+    found = 0
+    for i in range(2000):
+        n = int(rng.integers(50, 800))
+        scores = rng.integers(0, 11, size=n) / 10
+        risks = np.round(4.0 * np.clip(scores * rng.uniform(0.0, 0.6, size=n), 0.0, 1.0)) / 4.0
+        config = BaselineConfig(("hoeffding", "rademacher")[i % 2], delta=0.2,
+                                grid_size=int(rng.integers(2, 60)), rademacher_draws=8)
+        draws = rademacher_signs(rng, 2 * config.rademacher_draws, n)
+        alpha = alphas[i % 5]
+        calib = list(zip(scores, risks))
+        t_mdr = concentration_mdr_threshold(calib, config, alpha, draws[:config.rademacher_draws])
+        assert t_mdr == dense_concentration_mdr_threshold(calib, config, alpha,
+                                                          draws[:config.rademacher_draws])
+        t_sdr = concentration_sdr_threshold(calib, config, alpha, draws)
+        assert t_sdr == dense_concentration_sdr_threshold(calib, config, alpha, draws)
+        found += (t_mdr is not None) + (t_sdr is not None)
+    assert found >= 1000

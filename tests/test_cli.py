@@ -77,6 +77,17 @@ def test_select_weighted_requires_weight_column(fixture_files, capsys):
     assert "weight" in capsys.readouterr().err
 
 
+def test_select_without_random_draws_prints_no_seed(fixture_files, tmp_path, capsys):
+    calib, test = fixture_files
+    out = str(tmp_path / "out.csv")
+    assert main(["select", calib, test, "--method", "mdr", "--alpha", "0.3", "--out", out]) == 0
+    assert main(["select", calib, test, "--method", "sdr", "--alpha", "0.3", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["select", calib, test, "--method", "sdr", "--alpha", "0.3", "--boost", "homo",
+                 "--out", out]) == 0
+    assert "seed" in capsys.readouterr().err
+
+
 def test_select_round_trip_matches_library(tmp_path):
     rng = np.random.default_rng(80)
     n, m = 40, 12

@@ -111,18 +111,33 @@ def test_read_calibration_csv(tmp_path):
     p = tmp_path / "calib.csv"
     p.write_text("score,risk\n0.1,0.2\n0.4,0.9\n")
     samples = read_calibration_csv(p)
-    assert samples == [CalibSample(0.1, 0.2), CalibSample(0.4, 0.9)]
+    assert len(samples) == 2 and samples.dtype.names == ("score", "risk")
+    assert samples["score"].tolist() == [0.1, 0.4]
+    assert samples["risk"].tolist() == [0.2, 0.9]
 
     p2 = tmp_path / "calib_w.csv"
     p2.write_text("score,risk,weight\n0.1,0.2,2.5\n")
-    assert read_calibration_csv(p2)[0].weight == 2.5
+    assert read_calibration_csv(p2)["weight"][0] == 2.5
 
 
 def test_read_test_csv(tmp_path):
     p = tmp_path / "test.csv"
     p.write_text("score\n0.3\n0.7\n")
     points = read_test_csv(p)
-    assert [t.score for t in points] == [0.3, 0.7]
+    assert points.dtype.names == ("score",)
+    assert points["score"].tolist() == [0.3, 0.7]
+
+
+def test_read_csv_arrays_validate_column_wise(tmp_path):
+    calib = tmp_path / "calib.csv"
+    calib.write_text("risk,extra,score,weight\n0.2,x,0.1,2.0\n\n0.9,y,0.4,1.5\n")
+    test = tmp_path / "test.csv"
+    test.write_text("score\n0.3\n")
+    batch = validate_batch(read_calibration_csv(calib), read_test_csv(test))
+    assert batch.calib_scores.tolist() == [0.1, 0.4]
+    assert batch.calib_risks.tolist() == [0.2, 0.9]
+    assert batch.calib_weights.tolist() == [2.0, 1.5]
+    assert batch.test_weights.tolist() == [1.0]
 
 
 def test_csv_missing_column(tmp_path):
@@ -137,6 +152,23 @@ def test_csv_non_numeric_cell_reports_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("score,risk\n0.1,0.2\n0.4,oops\n")
     with pytest.raises(SchemaError) as err:
+        read_calibration_csv(p)
+    assert err.value.line == 3
+
+
+def test_csv_error_line_counts_blank_lines(tmp_path):
+    # blank lines are skipped as rows but still count as physical lines
+    p = tmp_path / "bad.csv"
+    p.write_text("score,risk\n0.1,0.2\n\n\n0.4,oops\n")
+    with pytest.raises(SchemaError) as err:
+        read_calibration_csv(p)
+    assert err.value.line == 5
+
+
+def test_csv_short_row_reports_missing_value(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("score,risk\n0.1,0.2\n0.4\n")
+    with pytest.raises(SchemaError, match="missing value for column 'risk'") as err:
         read_calibration_csv(p)
     assert err.value.line == 3
 

@@ -1,14 +1,16 @@
 """Tests for selective-risk e-values: kernel, oracles, conservative variant."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from score_kit import (ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
-                       sdr_evalues_oracle, weighted_sdr_evalues,
+                       sdr_evalues_oracle, validate_batch, weighted_sdr_evalues,
                        weighted_sdr_evalues_oracle)
-from helpers import exchangeable_pairs, mc_bound_ok, random_sdr_instance, risk_evalue_products
+from helpers import (dense_sdr_evalues_conservative, exchangeable_pairs, mc_bound_ok,
+                     random_sdr_instance, risk_evalue_products)
 
 FIX_CALIB = [(0.1, 0.0), (0.3, 0.0), (0.9, 0.5)]
 FIX_TESTS = [0.2, 0.4, 0.8]
@@ -127,6 +129,39 @@ def test_conservative_below_exact_on_fixture():
 def test_conservative_zero_when_score_above_threshold():
     res = sdr_evalues_conservative([(0.1, 1.0)], [0.9], alpha=0.1)
     assert res.evalues[0] == 0.0
+
+
+def test_conservative_equals_dense_reference():
+    # 0.1-grid tied scores and quarter risks keep every sum exact, so the
+    # sorted-prefix path must reproduce the dense per-point scan bit for bit
+    rng = np.random.default_rng(31)
+    nonzero = 0
+    for alpha in (0.1, 0.2, 0.25, 0.3, 0.5):
+        for _ in range(420):
+            n, m = int(rng.integers(1, 41)), int(rng.integers(1, 16))
+            calib = list(zip(rng.integers(0, 11, size=n) / 10, rng.integers(0, 5, size=n) / 4))
+            tests = list(rng.integers(0, 11, size=m) / 10)
+            res = sdr_evalues_conservative(calib, tests, alpha=alpha)
+            ev, t_tilde, t_hat = dense_sdr_evalues_conservative(calib, tests, alpha)
+            assert np.array_equal(res.evalues, ev)
+            assert np.array_equal(res.thresholds_at_0, t_tilde, equal_nan=True)
+            assert np.array_equal(res.thresholds_at_1, t_hat, equal_nan=True)
+            nonzero += bool(np.any(ev > 0.0))
+    assert nonzero >= 500
+
+
+def test_conservative_memory_is_linear():
+    rng = np.random.default_rng(32)
+    n, m = 4000, 1000
+    batch = validate_batch(list(zip(rng.normal(size=n), rng.uniform(size=n))),
+                           list(rng.normal(size=m)))
+    tracemalloc.start()
+    try:
+        sdr_evalues_conservative(batch, None, alpha=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_binary_attainable_set_matches_fixed_ell():

@@ -160,6 +160,16 @@ def test_conformal_pvalues_extremes():
     assert p[1] == pytest.approx(1.0)    # above all -> 1
 
 
+def test_conformal_pvalues_count_ties_and_infinities():
+    rng = np.random.default_rng(71)
+    v = np.concatenate([rng.integers(0, 6, size=200) / 2, [np.inf, np.inf, -np.inf]])
+    vhat = np.concatenate([rng.integers(-1, 7, size=50) / 2, [np.inf, -np.inf]])
+    dense = np.sum(v[None, :] <= vhat[:, None], axis=1)
+    assert np.array_equal(conformal_pvalues(v, vhat), (1.0 + dense) / (v.size + 1.0))
+    with pytest.raises(ValueError):
+        conformal_pvalues([1.0, np.nan], [0.5])
+
+
 def test_conformal_pvalues_empty():
     with pytest.raises(EmptyInput):
         conformal_pvalues([], [1.0])
