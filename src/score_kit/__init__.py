@@ -18,8 +18,8 @@ from .core import (CalibSample, EmptyCalibration, Levels, NonFiniteScore, NonPos
                    rescale_risk, unrescale, validate_batch)
 from .mdr import (MdrDecision, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
                   weighted_mdr_decide, weighted_mdr_evalue, weighted_mdr_evalue_oracle)
-from .models import (DivergedFit, KnnRegressor, KTooLarge, LogisticWeightModel, build_score,
-                     knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict)
+from .models import (DivergedFit, KnnRegressor, KTooLarge, LogisticWeightModel, knn_fit,
+                     knn_predict, logistic_fit_weights, ratio_scores, weight_predict)
 from .sdr import (SdrEvalueSet, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
                   sdr_evalues_oracle, weighted_sdr_evalues, weighted_sdr_evalues_oracle)
 from .selection import (BoostDraws, EmptyInput, InvalidAlpha, InvalidDraws, SelectionResult,
@@ -41,7 +41,7 @@ __all__ = [
     "rescale_risk", "unrescale", "validate_batch",
     "MdrDecision", "deploy_mask", "mdr_decide", "mdr_evalue", "mdr_evalue_oracle",
     "weighted_mdr_decide", "weighted_mdr_evalue", "weighted_mdr_evalue_oracle",
-    "DivergedFit", "KnnRegressor", "KTooLarge", "LogisticWeightModel", "build_score",
+    "DivergedFit", "KnnRegressor", "KTooLarge", "LogisticWeightModel",
     "knn_fit", "knn_predict", "logistic_fit_weights", "ratio_scores", "weight_predict",
     "SdrEvalueSet", "sdr_evalues", "sdr_evalues_at", "sdr_evalues_conservative",
     "sdr_evalues_oracle", "weighted_sdr_evalues", "weighted_sdr_evalues_oracle",

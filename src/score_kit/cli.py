@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
-from .core import Levels, ScoreKitError, read_calibration_csv, read_test_csv, validate_batch
+from .core import (Levels, ScoreKitError, _read_columns, read_calibration_csv, read_test_csv,
+                   validate_batch)
 from .mdr import deploy_mask
 from .models import DivergedFit, logistic_fit_weights, weight_predict
 from .sdr import sdr_evalues, sdr_evalues_conservative, weighted_sdr_evalues
@@ -54,25 +56,13 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _open_out(path):
-    return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
-
-
 def _write_csv(path, header, columns) -> None:
     """Write ``header`` and then one row per position of the equal-length
     ``columns`` to ``path`` (stdout when ``None``)."""
-    out = _open_out(path)
-    try:
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(zip(*columns))
-    finally:
-        _close_out(out)
 
 
 def _formatted(values: np.ndarray) -> list[str]:
@@ -161,40 +151,17 @@ def _cmd_simulate(args) -> int:
         seed=_resolve_seed(args.seed),
         weighted=args.weighted,
     )
-    rows = run_experiment(config)
-    out = _open_out(args.out)
-    try:
-        write_metrics_csv(rows, out)
-    finally:
-        _close_out(out)
+    write_metrics_csv(run_experiment(config), args.out or sys.stdout)
     return 0
 
 
 def _read_feature_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ScoreKitError(f"{path}: file is empty, expected a header row")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ScoreKitError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                bad = next(i for i, v in enumerate(row) if not _is_float(v))
-                raise ScoreKitError(
-                    f"{path}: line {line_no}, column {header[bad]!r}: non-numeric value {row[bad]!r}") from None
-    return header, np.asarray(rows, dtype=float)
-
-
-def _is_float(v: str) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
+    """Feature names and the (rows x features) float matrix of a feature CSV,
+    read under the same rules as the score CSVs."""
+    rows = _read_columns(path, required=None)
+    if len(rows) == 0:
+        raise ScoreKitError(f"{path}: no data rows after the header")
+    return list(rows.dtype.names), np.column_stack([rows[name] for name in rows.dtype.names])
 
 
 def _cmd_estimate_weights(args) -> int:

@@ -287,9 +287,10 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 
 # ---------------------------------------------------------------------------
 # CSV schemas.  Calibration: header ``score,risk[,weight]``; test: header
-# ``score[,weight]``.  Missing weight column means weight 1.  Extra columns
-# are ignored, and so are blank lines.  Comma-separated, UTF-8, '.' decimal,
-# header required.
+# ``score[,weight]``.  Missing weight column means weight 1.  Feature files
+# (``estimate-weights``): every header column is a distinctly named feature.
+# Extra columns are ignored, and so are blank lines.  Comma-separated, UTF-8,
+# '.' decimal, header required.
 # ---------------------------------------------------------------------------
 
 def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
@@ -314,12 +315,23 @@ def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
     raise SchemaError("file changed while it was being read")
 
 
-def _read_columns(path, required: Sequence[str], optional: Sequence[str]) -> np.ndarray:
+def _read_columns(path, required: Sequence[str] | None,
+                  optional: Sequence[str] = ()) -> np.ndarray:
+    """Parse the ``required`` columns and the ``optional`` ones present into a
+    float64 structured array with one field per column and one element per
+    data row.  ``required=None`` reads every header column, and each must
+    then carry a distinct, non-empty name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError("file is empty, expected a header row", line=1)
+        if required is None:
+            required = header
+            for i, col in enumerate(header):
+                if not col or col in header[:i]:
+                    raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
+                                      line=1)
         for col in required:
             if col not in header:
                 raise SchemaError(

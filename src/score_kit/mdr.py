@@ -15,12 +15,17 @@ with ``t(ell)`` the largest pooled score whose empirical risk estimate
 stays below ``gamma``.  For ``gamma <= alpha`` the thresholded decision
 reduces exactly to one comparison,
 
-    deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma,
+    deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma.
 
-which is what :func:`mdr_decide` evaluates.  The weighted variants replace
-every calibration term by its weighted version and ``n + 1`` by the total
-weight, giving finite-sample control under covariate shift with known (or
-plugged-in) weights.
+For ``gamma > alpha`` a no-crossing condition over the pooled thresholds
+joins it.  The weighted variants replace every calibration term by its
+weighted version and ``n + 1`` by the total weight, giving finite-sample
+control under covariate shift with known (or plugged-in) weights.
+
+One vectorized rule evaluates this for all test points at once, reading the
+sums from the shared sorted prefix: :func:`deploy_mask` returns its mask,
+and :func:`mdr_decide` / :func:`weighted_mdr_decide` read its one entry, so
+batch and single-point decisions agree bit for bit.
 
 :func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle` transcribe the
 defining infimum by brute force for verification; :func:`mdr_evalue` computes
@@ -70,22 +75,8 @@ def _single_point_batch(calib, test) -> ValidatedBatch:
     return validate_batch(calib, tests)
 
 
-def _stat_and_interval(batch: ValidatedBatch, j: int, levels: Levels) -> tuple[float, bool]:
-    """Shortcut statistic for test point ``j`` plus, for ``gamma > alpha``,
-    whether the extra no-crossing condition over all pooled thresholds holds."""
-    sj = batch.test_scores[j]
-    wj = batch.test_weights[j]
-    total_w = wj + float(np.sum(batch.calib_weights))
-    covered = batch.calib_scores <= sj
-    stat = (wj + float(np.sum(batch.calib_weights[covered] * batch.calib_risks[covered]))) / total_w
-    if levels.gamma <= levels.alpha:
-        return stat, True
-    prefix = _sorted_prefix(batch.calib_scores, batch.calib_weights * batch.calib_risks)
-    return stat, bool(_no_crossing(batch, levels, *prefix)[j])
-
-
-def _no_crossing(batch: ValidatedBatch, levels: Levels, sorted_scores: np.ndarray,
-                 prefix0: np.ndarray) -> np.ndarray:
+def _no_crossing(test_weights: np.ndarray, levels: Levels, sorted_scores: np.ndarray,
+                 prefix0: np.ndarray, k: np.ndarray, total_w: np.ndarray) -> np.ndarray:
     """For ``gamma > alpha``, whether each test point passes the extra
     no-crossing condition: no pooled threshold t and candidate risk ell in
     [0, 1] put the statistic inside (alpha, gamma].
@@ -93,22 +84,41 @@ def _no_crossing(batch: ValidatedBatch, levels: Levels, sorted_scores: np.ndarra
     Linearity in ell reduces this to the two endpoints per t.  Only prefix
     values attained at actual thresholds count, so tied scores share the
     final value of their tie group; the test point's own threshold adds the
-    prefix up to its score.  The condition asks whether some prefix value
-    P <= gamma * T_j has w_j + P > alpha * T_j.  The tie-grouped prefixes
-    are nondecreasing and fl(w_j + P) is monotone in P, so the largest
-    P <= gamma * T_j (one binary search) decides it exactly.
+    prefix up to its score, ``prefix0[k]``.  The condition asks whether some
+    prefix value P <= gamma * T_j has w_j + P > alpha * T_j.  The tie-grouped
+    prefixes are nondecreasing and fl(w_j + P) is monotone in P, so the
+    largest P <= gamma * T_j (one binary search) decides it exactly.
     """
-    last = np.searchsorted(sorted_scores, sorted_scores, side="right")
-    tied_prefix = prefix0[last]
-    total_w = np.sum(batch.calib_weights) + batch.test_weights
+    tied_prefix = prefix0[np.searchsorted(sorted_scores, sorted_scores, side="right")]
     cap = levels.gamma * total_w
     floor = levels.alpha * total_w
     below = np.searchsorted(tied_prefix, cap, side="right")
     p_max = tied_prefix[np.maximum(below - 1, 0)]
-    p_test = prefix0[np.searchsorted(sorted_scores, batch.test_scores, side="right")]
-    bad = (below > 0) & (batch.test_weights + p_max > floor)
-    bad |= (p_test <= cap) & (batch.test_weights + p_test > floor)
+    p_test = prefix0[k]
+    bad = (below > 0) & (test_weights + p_max > floor)
+    bad |= (p_test <= cap) & (test_weights + p_test > floor)
     return ~bad
+
+
+def _decide(batch: ValidatedBatch, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+    """The MDR statistic and the deploy decision for every test point: the
+    one rule behind :func:`deploy_mask`, :func:`mdr_decide` and
+    :func:`weighted_mdr_decide`."""
+    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores,
+                                            batch.calib_weights * batch.calib_risks)
+    k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
+    total_w = np.sum(batch.calib_weights) + batch.test_weights
+    stats = (batch.test_weights + prefix0[k]) / total_w
+    mask = stats <= levels.gamma
+    if levels.gamma > levels.alpha:
+        mask &= _no_crossing(batch.test_weights, levels, sorted_scores, prefix0, k, total_w)
+    return stats, mask
+
+
+def _point_decision(batch: ValidatedBatch, levels: Levels) -> MdrDecision:
+    stats, mask = _decide(batch, levels)
+    return MdrDecision(deploy=bool(mask[0]), empirical_stat=float(stats[0]),
+                       evalue_lower_bound=float(_sdr_kernel(batch, levels.gamma)[0][0]))
 
 
 def mdr_decide(calib, test_score: float, levels: Levels) -> MdrDecision:
@@ -126,21 +136,14 @@ def mdr_decide(calib, test_score: float, levels: Levels) -> MdrDecision:
     """
     batch = _single_point_batch(calib, test_score)
     _require_unit_weights(batch, "mdr_decide")
-    stat, interval_ok = _stat_and_interval(batch, 0, levels)
-    deploy = bool(stat <= levels.gamma) and interval_ok
-    evalue = float(_sdr_kernel(batch, levels.gamma)[0][0])
-    return MdrDecision(deploy=deploy, empirical_stat=float(stat), evalue_lower_bound=evalue)
+    return _point_decision(batch, levels)
 
 
 def weighted_mdr_decide(calib, test, levels: Levels) -> MdrDecision:
     """Covariate-shift analogue of :func:`mdr_decide`; ``test`` carries the
     test point's weight.  Unit weights reproduce the unweighted decision, and
     rescaling all weights by a common factor changes nothing."""
-    batch = _single_point_batch(calib, test)
-    stat, interval_ok = _stat_and_interval(batch, 0, levels)
-    deploy = bool(stat <= levels.gamma) and interval_ok
-    evalue = float(_sdr_kernel(batch, levels.gamma)[0][0])
-    return MdrDecision(deploy=deploy, empirical_stat=float(stat), evalue_lower_bound=evalue)
+    return _point_decision(_single_point_batch(calib, test), levels)
 
 
 def mdr_evalue(calib, test_score: float, gamma: float) -> float:
@@ -153,8 +156,7 @@ def mdr_evalue(calib, test_score: float, gamma: float) -> float:
 
 def weighted_mdr_evalue(calib, test, gamma: float) -> float:
     """Exact weighted MDR e-value for one test point."""
-    batch = _single_point_batch(calib, test)
-    return float(_sdr_kernel(batch, gamma)[0][0])
+    return float(_sdr_kernel(_single_point_batch(calib, test), gamma)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +218,4 @@ def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
 
 def deploy_mask(batch: ValidatedBatch, levels: Levels) -> np.ndarray:
     """Deploy decisions for every test point in the batch at once."""
-    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores,
-                                            batch.calib_weights * batch.calib_risks)
-    k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
-    total_w = np.sum(batch.calib_weights) + batch.test_weights
-    stats = (batch.test_weights + prefix0[k]) / total_w
-    mask = stats <= levels.gamma
-    if levels.gamma > levels.alpha:
-        mask &= _no_crossing(batch, levels, sorted_scores, prefix0)
-    return mask
+    return _decide(batch, levels)[1]

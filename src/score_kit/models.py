@@ -24,7 +24,6 @@ __all__ = [
     "logistic_fit_weights",
     "weight_predict",
     "ratio_scores",
-    "build_score",
 ]
 
 
@@ -189,19 +188,3 @@ def ratio_scores(l_values, r_values, alpha: float, method: str) -> np.ndarray:
     r = np.maximum(np.asarray(r_values, dtype=float), 1e-6)
     return (l - alpha) / r if method == "sdr" else l / r
 
-
-def build_score(mode: str, l_hat, r_hat, alpha: float, method: str):
-    """Build a score function from risk/reward predictors.
-
-    ``mode="risk_prediction"`` scores by predicted risk alone;
-    ``mode="risk_reward_ratio"`` scores by predicted risk per unit predicted
-    reward (see :func:`ratio_scores`).
-    """
-    if mode not in ("risk_prediction", "risk_reward_ratio"):
-        raise ValueError(f"unknown score mode {mode!r}")
-    if method not in ("mdr", "sdr"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if mode == "risk_prediction":
-        return lambda x: np.asarray(l_hat(x), dtype=float)
-    return lambda x: ratio_scores(l_hat(x), r_hat(x), alpha, method)

@@ -88,10 +88,12 @@ def _sdr_kernel(batch: ValidatedBatch, gamma: float):
     n, m = batch.n, batch.m
     # vals = pooled scores in ascending order; A[i] = sum of weighted
     # calibration risks with score <= vals[i]; ntest[i] = number of test
-    # scores <= vals[i].  Ties share prefix values.
+    # scores <= vals[i]; nxt[i] = index of the first pooled score above
+    # vals[i].  Ties share prefix values.
     vals, prefix0 = _sorted_prefix(np.concatenate([batch.calib_scores, batch.test_scores]),
                                    np.concatenate([batch.calib_weights * batch.calib_risks, np.zeros(m)]))
-    A = prefix0[np.searchsorted(vals, vals, side="right")]
+    nxt = np.searchsorted(vals, vals, side="right")
+    A = prefix0[nxt]
     ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
     calib_wsum = float(np.sum(batch.calib_weights))
 
@@ -132,7 +134,6 @@ def _sdr_kernel(batch: ValidatedBatch, gamma: float):
         ell_bar = (gamma * total_w * denom / m - A) / wj
         cand = np.where(feas0, ell_bar, -np.inf)
         suffix = np.maximum.accumulate(cand[::-1])[::-1]
-        nxt = np.searchsorted(vals, vals, side="right")
         larger_best = np.where(nxt < n + m, suffix[np.minimum(nxt, n + m - 1)], -np.inf)
         keep = feas0 & (vals >= t1) & (vals <= t0_arr[j]) & (ell_bar >= larger_best)
         keep |= (vals == t1) & feas0   # t(1) is always attained (ell_bar >= 1 there)
@@ -162,17 +163,14 @@ def sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
     """
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues")
-    ev, t0, t1 = _sdr_kernel(batch, gamma)
-    return SdrEvalueSet(ev, t0, t1)
+    return weighted_sdr_evalues(batch, None, gamma)
 
 
 def weighted_sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
     """Exact SDR e-values under covariate shift, using the weights carried by
     the calibration samples and test points.  With unit weights this reduces
     to :func:`sdr_evalues` exactly."""
-    batch = validate_batch(calib, tests)
-    ev, t0, t1 = _sdr_kernel(batch, gamma)
-    return SdrEvalueSet(ev, t0, t1)
+    return SdrEvalueSet(*_sdr_kernel(validate_batch(calib, tests), gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the command-line interface (exit codes, schemas, round trips)."""
 
 import csv
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +207,48 @@ def test_estimate_weights_header_mismatch(tmp_path):
     src = _write(tmp_path / "src.csv", "x1,x2\n0.5,0.1\n")
     tgt = _write(tmp_path / "tgt.csv", "a,b\n0.1,0.2\n")
     assert main(["estimate-weights", src, tgt]) == 2
+
+
+def test_select_mdr_deploys_at_exact_boundary(tmp_path):
+    # The same instance as the library's boundary test: mdr_decide deploys too.
+    calib = _write(tmp_path / "calib.csv", "score,risk\n1.0,0.1\n1.0,1.0\n0.0,0.3\n")
+    test = _write(tmp_path / "test.csv", "score\n1.0\n")
+    out = str(tmp_path / "out.csv")
+    assert main(["select", calib, test, "--method", "mdr", "--alpha", "0.6", "--out", out]) == 0
+    assert [r["deploy"] for r in _read_rows(out)] == ["1"]
+
+
+def test_estimate_weights_skips_blank_lines(tmp_path):
+    src = _write(tmp_path / "src.csv", "x1,x2\n0.1,0.2\n\n0.3,0.4\n")
+    tgt = _write(tmp_path / "tgt.csv", "x1,x2\n0.5,0.7\n0.1,0.9\n")
+    out = str(tmp_path / "w.csv")
+    assert main(["estimate-weights", src, tgt, "--query", src, "--out", out]) == 0
+    assert len(_read_rows(out)) == 2
+
+
+def test_estimate_weights_header_only_is_data_error(tmp_path, capsys):
+    src = _write(tmp_path / "src.csv", "x1,x2\n")
+    tgt = _write(tmp_path / "tgt.csv", "x1,x2\n0.1,0.2\n")
+    assert main(["estimate-weights", src, tgt]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["x1,x1", "x1,"])
+def test_estimate_weights_repeated_or_empty_feature_name(tmp_path, capsys, header):
+    src = _write(tmp_path / "src.csv", f"{header}\n0.5,0.1\n0.2,0.3\n")
+    tgt = _write(tmp_path / "tgt.csv", f"{header}\n0.1,0.2\n0.4,0.6\n")
+    assert main(["estimate-weights", src, tgt]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_perfbench_spans_resolve():
+    # perfbench/spans.py wraps these module globals by name under --trace 1.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    for name, modules in spans.SPANS.items():
+        attr = name.split(".", 1)[1]
+        for module in modules:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from score_kit import (Levels, TestPoint, ValidatedBatch, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
-                       weighted_mdr_decide, weighted_mdr_evalue,
+                       validate_batch, weighted_mdr_decide, weighted_mdr_evalue,
                        weighted_mdr_evalue_oracle)
 from helpers import (exchangeable_pairs, mc_bound_ok, random_mdr_instance,
                      risk_evalue_products, thresholded)
@@ -237,3 +237,32 @@ def test_deploy_mask_gamma_above_alpha_matches_per_point_rule():
         plain = deploy_mask(batch, Levels(levels.gamma))
         expected = [bool(plain[j]) and _no_crossing_per_point(batch, j, levels) for j in range(m)]
         assert deploy_mask(batch, levels).tolist() == expected
+
+
+def test_decide_and_deploy_mask_agree_at_exact_boundary():
+    # The statistic is exactly gamma in real arithmetic: (1 + 0.1 + 1.0 + 0.3) / 4 = 0.6.
+    calib = [(1.0, 0.1), (1.0, 1.0), (0.0, 0.3)]
+    levels = Levels(0.6)
+    d = mdr_decide(calib, 1.0, levels)
+    assert d.deploy
+    assert d.evalue_lower_bound >= 1.0 / levels.alpha
+    assert deploy_mask(validate_batch(calib, [1.0]), levels).tolist() == [True]
+
+
+def test_decide_matches_deploy_mask_on_tied_dyadic_instances():
+    rng = np.random.default_rng(43)
+    for trial in range(4000):
+        n = int(rng.integers(1, 25))
+        cs = rng.integers(0, 5, size=n).astype(float)
+        cl = rng.integers(0, 11, size=n) / 10.0 if trial % 2 else rng.integers(0, 5, size=n) / 4.0
+        s = float(rng.integers(0, 5))
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5, 0.6]))
+        gamma = alpha if trial % 3 else alpha + float(rng.choice([0.05, 0.1, 0.25]))
+        levels = Levels(alpha, gamma)
+        calib = list(zip(cs, cl))
+        d = mdr_decide(calib, s, levels)
+        batch = validate_batch(calib, [s])
+        assert d.deploy == bool(deploy_mask(batch, levels)[0])
+        # deploy_mask's statistic: the covered risks summed in stable score order.
+        prefix = np.cumsum(np.concatenate([[0.0], cl[np.argsort(cs, kind="stable")]]))
+        assert d.empirical_stat == (1.0 + prefix[np.count_nonzero(cs <= s)]) / (n + 1)

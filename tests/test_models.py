@@ -1,9 +1,9 @@
-"""Tests for the k-NN regressor, logistic weight estimator, and score builder."""
+"""Tests for the k-NN regressor, the logistic weight estimator and ratio scores."""
 
 import numpy as np
 import pytest
 
-from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, ShiftModel, build_score,
+from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, ShiftModel,
                        generate_dataset, knn_fit, knn_predict, logistic_fit_weights,
                        mdr_decide, ratio_scores, rejection_sample_shifted, sdr_evalues,
                        shift_weight, weight_predict)
@@ -134,18 +134,7 @@ def test_ratio_scores_arithmetic():
     assert ratio_scores([0.4], [2.0], alpha=0.1, method="sdr")[0] == pytest.approx(0.15)
 
 
-def test_build_score_constant_reward_preserves_ranking():
-    rng = np.random.default_rng(56)
-    l_vals = rng.uniform(size=30)
-    pred = build_score("risk_prediction", lambda x: x, None, alpha=0.2, method="mdr")
-    ratio = build_score("risk_reward_ratio", lambda x: x, lambda x: np.ones_like(x),
-                        alpha=0.2, method="mdr")
-    assert np.array_equal(np.argsort(pred(l_vals)), np.argsort(ratio(l_vals)))
-
-
-def test_build_score_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        build_score("nonsense", None, None, 0.1, "mdr")
+def test_ratio_scores_rejects_unknown_method():
     with pytest.raises(ValueError):
         ratio_scores([0.1], [1.0], 0.1, "other")
 
