@@ -78,12 +78,16 @@ class OutOfRange(ScoreKitError):
 
 
 class SchemaError(ScoreKitError):
-    """A CSV file does not match the expected schema.  Carries a line number."""
+    """A CSV file does not match the expected schema.  Carries the file's
+    path and a line number, and names both in its message."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
+    def __init__(self, message: str, line: int | None = None, path=None) -> None:
         self.line = line
+        self.path = path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -289,13 +293,14 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # CSV schemas.  Calibration: header ``score,risk[,weight]``; test: header
 # ``score[,weight]``.  Missing weight column means weight 1.  Feature files
 # (``estimate-weights``): every header column is a distinctly named feature.
-# Extra columns are ignored, and so are blank lines.  Comma-separated, UTF-8,
-# '.' decimal, header required.
+# A column that is read must be named exactly once; extra columns are
+# ignored, and so are blank lines.  Comma-separated, UTF-8, '.' decimal,
+# header required.  Errors name the file and the physical line.
 # ---------------------------------------------------------------------------
 
 def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
     """Rescan ``path`` row by row and raise a :class:`SchemaError` naming the
-    physical line of the first missing or non-numeric cell."""
+    file and the physical line of the first missing or non-numeric cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -306,38 +311,39 @@ def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
                 i = position[col]
                 raw = row[i] if i < len(row) else ""
                 if raw == "":
-                    raise SchemaError(f"missing value for column {col!r}", line=reader.line_num)
+                    raise SchemaError(f"missing value for column {col!r}",
+                                      line=reader.line_num, path=path)
                 try:
                     float(raw)
                 except ValueError:
                     raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
-                                      line=reader.line_num) from None
-    raise SchemaError("file changed while it was being read")
+                                      line=reader.line_num, path=path) from None
+    raise SchemaError("file changed while it was being read", path=path)
 
 
 def _read_columns(path, required: Sequence[str] | None,
                   optional: Sequence[str] = ()) -> np.ndarray:
     """Parse the ``required`` columns and the ``optional`` ones present into a
     float64 structured array with one field per column and one element per
-    data row.  ``required=None`` reads every header column, and each must
-    then carry a distinct, non-empty name."""
+    data row.  ``required=None`` reads every header column.  Each column
+    read must carry a distinct, non-empty name; other columns are ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise SchemaError("file is empty, expected a header row", line=1)
+            raise SchemaError("file is empty, expected a header row", line=1, path=path)
         if required is None:
             required = header
-            for i, col in enumerate(header):
-                if not col or col in header[:i]:
-                    raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
-                                      line=1)
         for col in required:
             if col not in header:
                 raise SchemaError(
-                    f"missing required column {col!r} (header is {header})", line=1)
+                    f"missing required column {col!r} (header is {header})", line=1, path=path)
         names = [*required, *(c for c in optional if c in header)]
-        position = {col: i for i, col in enumerate(header)}   # a repeated name reads its last column
+        for i, col in enumerate(header):
+            if col in names and (not col or col in header[:i]):
+                raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
+                                  line=1, path=path)
+        position = {col: header.index(col) for col in names}
         rows = [row for row in reader if row]
     out = np.empty(len(rows), dtype=[(col, float) for col in names])
     try:

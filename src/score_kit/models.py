@@ -78,11 +78,12 @@ def knn_predict(model: KnnRegressor, x) -> np.ndarray | float:
     single = q.ndim == 1
     q = np.atleast_2d(q)
     k = model.k
-    # Squared distances via the expansion; the |q|^2 term is rank-preserving
-    # but kept so that ties match the literal metric.
-    d2 = (np.sum(q * q, axis=1)[:, None]
-          - 2.0 * q @ model.train_x.T
-          + np.sum(model.train_x * model.train_x, axis=1)[None, :])
+    # Squared distances via the expansion, |q|^2 - 2 q.x + |x|^2, built in
+    # the matmul's own buffer; the |q|^2 term is rank-preserving but kept so
+    # that ties match the literal metric.
+    d2 = 2.0 * q @ model.train_x.T
+    np.subtract(np.sum(q * q, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(model.train_x * model.train_x, axis=1)
     chosen = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     chosen_d2 = np.take_along_axis(d2, chosen, axis=1)
     nearest = np.take_along_axis(chosen, np.argsort(chosen_d2, axis=1, kind="stable"), axis=1)
@@ -124,11 +125,16 @@ def logistic_fit_weights(source_x, target_x, lr: float = 0.1, iters: int = 500,
 
     Full-batch gradient descent on the logistic loss separating source
     (label 0) from target (label 1) samples; deterministic given the inputs.
+    The loss is evaluated once, after the last step, from that step's
+    probabilities; it is ``final_loss`` (``inf`` when ``iters=0``).
 
     Raises
     ------
     DivergedFit
-        If the loss becomes non-finite.
+        If that final loss is non-finite.  The loss is finite unless a
+        probability is nan, and a nan probability makes every later one nan,
+        so this is exactly when some step produced a nan probability (for
+        example from an infinite feature).
     """
     xs = np.atleast_2d(np.asarray(source_x, dtype=float))
     xt = np.atleast_2d(np.asarray(target_x, dtype=float))
@@ -156,6 +162,7 @@ def logistic_fit_weights(source_x, target_x, lr: float = 0.1, iters: int = 500,
             grad_logit = (p - y) / y.size
             coef -= lr * (z.T @ grad_logit)
             intercept -= lr * float(np.sum(grad_logit))
+        if iters > 0:
             eps = 1e-12
             loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
             if not np.isfinite(loss):

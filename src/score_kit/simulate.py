@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import BaselineConfig, concentration_mdr_threshold, concentration_sdr_threshold, rademacher_signs
 from .core import Levels, ScoreKitError, ValidatedBatch
 from .mdr import deploy_mask
-from .models import knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict
+from .models import _sigmoid, knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict
 from .sdr import _sdr_kernel
 from .selection import SelectionResult, boost_hete, boost_homo, ebh
 
@@ -205,10 +205,6 @@ def reward_of(reward: RewardKind, y):
     """Reward collected when deploying on outcome ``y``."""
     y = np.asarray(y, dtype=float)
     return np.ones_like(y) if reward.kind == "constant" else y ** 2
-
-
-def _sigmoid(z):
-    return np.exp(-np.logaddexp(0.0, -z))
 
 
 _W3_A1 = np.array([2.0, -1.0, 1.0])

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from score_kit import validate_batch
+from score_kit import DivergedFit, validate_batch
 from score_kit.baselines import _as_signs, _empirical_rademacher
 
 # Deployed e-values sit mathematically at exactly 1/level on the decision
@@ -160,3 +160,37 @@ def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
         sdr_plus = np.where(b > 0.0, a / np.maximum(b, 1e-300), np.inf)
     ok = np.flatnonzero(sdr_plus <= alpha)
     return float(grid[ok[-1]]) if ok.size else None
+
+
+# ---------------------------------------------------------------------------
+# Per-step-loss reference for the logistic weight fit, which evaluates the
+# loss once after its last step; coefficients and loss must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def per_step_loss_logistic_fit(source_x, target_x, lr=0.1, iters=500):
+    """``(coef, intercept, final_loss)`` of ``logistic_fit_weights`` as a
+    straight transcription that evaluates the loss after every gradient step
+    and raises ``DivergedFit`` at the first non-finite one."""
+    xs = np.atleast_2d(np.asarray(source_x, dtype=float))
+    xt = np.atleast_2d(np.asarray(target_x, dtype=float))
+    x = np.vstack([xs, xt])
+    y = np.concatenate([np.zeros(xs.shape[0]), np.ones(xt.shape[0])])
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        std = np.where(std > 0.0, std, 1.0)
+        z = (x - mean) / std
+    coef = np.zeros(z.shape[1])
+    intercept = 0.0
+    loss = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(iters):
+            p = np.exp(-np.logaddexp(0.0, -(z @ coef + intercept)))
+            grad_logit = (p - y) / y.size
+            coef -= lr * (z.T @ grad_logit)
+            intercept -= lr * float(np.sum(grad_logit))
+            eps = 1e-12
+            loss = float(-np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps)))
+            if not np.isfinite(loss):
+                raise DivergedFit(f"logistic loss became non-finite ({loss!r})")
+    return coef, float(intercept), loss

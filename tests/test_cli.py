@@ -203,6 +203,30 @@ def test_estimate_weights_non_numeric_cell(tmp_path, capsys):
     assert "line 2" in err and "x2" in err
 
 
+def test_select_bad_cell_in_test_file_names_that_file(tmp_path, capsys):
+    calib = _write(tmp_path / "calib.csv", "score,risk\n0.1,0.0\n0.3,0.5\n")
+    test = _write(tmp_path / "test.csv", "score\n0.2\nx\n")
+    assert main(["select", calib, test, "--method", "mdr", "--alpha", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {test}: line 3: non-numeric value 'x' in column 'score'" in err
+    assert calib not in err
+
+
+def test_select_repeated_schema_column_is_data_error(tmp_path, capsys):
+    calib = _write(tmp_path / "calib.csv", "score,risk,score\n0.1,0.0,0.9\n0.3,0.5,0.2\n")
+    test = _write(tmp_path / "test.csv", "score\n0.2\n")
+    assert main(["select", calib, test, "--method", "sdr", "--alpha", "0.3"]) == 2
+    assert f"data error: {calib}: line 1: column 3 has" in capsys.readouterr().err
+
+
+def test_estimate_weights_repeated_name_in_source_names_source(tmp_path, capsys):
+    src = _write(tmp_path / "src.csv", "x1,x1\n0.5,0.1\n0.2,0.3\n")
+    tgt = _write(tmp_path / "tgt.csv", "x1,x2\n0.1,0.2\n0.4,0.6\n")
+    assert main(["estimate-weights", src, tgt]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {src}: line 1:" in err and tgt not in err
+
+
 def test_estimate_weights_header_mismatch(tmp_path):
     src = _write(tmp_path / "src.csv", "x1,x2\n0.5,0.1\n")
     tgt = _write(tmp_path / "tgt.csv", "a,b\n0.1,0.2\n")

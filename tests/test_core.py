@@ -156,6 +156,38 @@ def test_csv_non_numeric_cell_reports_line(tmp_path):
     assert err.value.line == 3
 
 
+def test_csv_error_names_file_and_line(tmp_path):
+    p = tmp_path / "test.csv"
+    p.write_text("score\n0.1\nx\n")
+    with pytest.raises(SchemaError) as err:
+        read_test_csv(p)
+    assert err.value.path == p
+    assert str(err.value) == f"{p}: line 3: non-numeric value 'x' in column 'score'"
+
+
+@pytest.mark.parametrize("reader,header", [
+    (read_calibration_csv, "score,risk,score"),
+    (read_calibration_csv, "risk,score,risk"),
+    (read_calibration_csv, "score,risk,weight,weight"),
+    (read_test_csv, "score,score"),
+    (read_test_csv, "weight,score,weight"),
+])
+def test_csv_repeated_schema_column_rejected(tmp_path, reader, header):
+    p = tmp_path / "dup.csv"
+    p.write_text(f"{header}\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+    with pytest.raises(SchemaError, match="repeated name") as err:
+        reader(p)
+    assert err.value.line == 1 and err.value.path == p
+
+
+def test_csv_repeated_extra_column_ignored(tmp_path):
+    p = tmp_path / "extra.csv"
+    p.write_text("note,score,risk,note,\nx,0.1,0.2,y,z\n")
+    rows = read_calibration_csv(p)
+    assert rows.dtype.names == ("score", "risk")
+    assert rows.tolist() == [(0.1, 0.2)]
+
+
 def test_csv_error_line_counts_blank_lines(tmp_path):
     # blank lines are skipped as rows but still count as physical lines
     p = tmp_path / "bad.csv"

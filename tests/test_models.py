@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import per_step_loss_logistic_fit
 from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, ShiftModel,
                        generate_dataset, knn_fit, knn_predict, logistic_fit_weights,
                        mdr_decide, ratio_scores, rejection_sample_shifted, sdr_evalues,
@@ -110,6 +111,53 @@ def test_logistic_diverged_fit():
     tgt = np.array([[0.0, 1.0]])
     with pytest.raises(DivergedFit):
         logistic_fit_weights(src, tgt)
+
+
+def _fit_bytes(coef, intercept, loss):
+    return coef.tobytes(), np.float64(intercept).tobytes(), np.float64(loss).tobytes()
+
+
+@pytest.mark.parametrize("iters", [0, 1, 500])
+@pytest.mark.parametrize("seed,n_src,n_tgt,dim,shift", [
+    (0, 1, 1, 1, 0.0), (1, 40, 25, 3, 1.0), (2, 300, 200, 5, 0.5),
+    (3, 1000, 1000, 20, 0.3), (4, 60, 90, 2, 4.0),
+])
+def test_logistic_fit_matches_per_step_loss_reference(seed, n_src, n_tgt, dim, shift, iters):
+    rng = np.random.default_rng(seed)
+    src = rng.normal(0.0, 1.0, size=(n_src, dim))
+    tgt = rng.normal(shift, 1.5, size=(n_tgt, dim))
+    if dim > 1:
+        src[:, -1] = tgt[:, -1] = 2.0   # a constant feature: zero std
+    model = logistic_fit_weights(src, tgt, iters=iters)
+    expected = per_step_loss_logistic_fit(src, tgt, iters=iters)
+    assert _fit_bytes(model.coef, model.intercept, model.final_loss) == _fit_bytes(*expected)
+    if iters == 0:
+        assert model.final_loss == np.inf
+
+
+@pytest.mark.parametrize("src,lr,iters", [
+    ([[np.inf, 1.0]], 0.1, 1),          # nan on the first step
+    ([[np.inf, 1.0]], 0.1, 500),
+    ([[0.0, 1.0], [1.0, 3.0]], np.inf, 2),   # finite first step, nan on the second
+    ([[0.0, 1.0], [1.0, 3.0]], np.inf, 500),
+])
+def test_logistic_fit_diverges_like_per_step_loss_reference(src, lr, iters):
+    tgt = [[0.0, 1.0], [2.0, 0.5]]
+    with pytest.raises(DivergedFit) as expected:
+        per_step_loss_logistic_fit(src, tgt, lr=lr, iters=iters)
+    with pytest.raises(DivergedFit) as got:
+        logistic_fit_weights(src, tgt, lr=lr, iters=iters)
+    assert str(got.value) == str(expected.value)
+
+
+def test_logistic_fit_infinite_step_size_finite_after_one_step():
+    # One step from zero coefficients sees p = 1/2 everywhere, so the loss is
+    # finite even though the update leaves infinite coefficients behind.
+    src, tgt = [[0.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [2.0, 0.5]]
+    model = logistic_fit_weights(src, tgt, lr=np.inf, iters=1)
+    expected = per_step_loss_logistic_fit(src, tgt, lr=np.inf, iters=1)
+    assert _fit_bytes(model.coef, model.intercept, model.final_loss) == _fit_bytes(*expected)
+    assert model.final_loss == pytest.approx(np.log(2.0))
 
 
 def test_weight_estimator_consistency_under_w1():
