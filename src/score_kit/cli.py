@@ -253,8 +253,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("select", "evalues") and args.conservative and args.weighted:
-            raise _UsageError("--conservative and --weighted cannot be combined")
+        if args.command in ("select", "evalues") and args.conservative and (
+                args.weighted or args.gamma is not None):
+            raise _UsageError("--conservative cannot be combined with --weighted or --gamma")
+        if args.command == "select" and args.method == "mdr" and (
+                args.conservative or args.boost != "none"):
+            raise _UsageError("--conservative and --boost apply only to --method sdr")
         if args.command == "select":
             if not (0.0 < args.alpha < 1.0):
                 raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")

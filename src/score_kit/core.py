@@ -294,13 +294,15 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # ``score[,weight]``.  Missing weight column means weight 1.  Feature files
 # (``estimate-weights``): every header column is a distinctly named feature.
 # A column that is read must be named exactly once; extra columns are
-# ignored, and so are blank lines.  Comma-separated, UTF-8, '.' decimal,
-# header required.  Errors name the file and the physical line.
+# ignored, and so are blank lines.  Every cell read must be a finite number.
+# Comma-separated, UTF-8, '.' decimal, header required.  Errors name the file
+# and the physical line.
 # ---------------------------------------------------------------------------
 
 def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
     """Rescan ``path`` row by row and raise a :class:`SchemaError` naming the
-    file and the physical line of the first missing or non-numeric cell."""
+    file and the physical line of the first missing, non-numeric or
+    non-finite cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -314,10 +316,13 @@ def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
                     raise SchemaError(f"missing value for column {col!r}",
                                       line=reader.line_num, path=path)
                 try:
-                    float(raw)
+                    value = float(raw)
                 except ValueError:
                     raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
                                       line=reader.line_num, path=path) from None
+                if not np.isfinite(value):
+                    raise SchemaError(f"non-finite value {raw!r} in column {col!r}",
+                                      line=reader.line_num, path=path)
     raise SchemaError("file changed while it was being read", path=path)
 
 
@@ -326,7 +331,8 @@ def _read_columns(path, required: Sequence[str] | None,
     """Parse the ``required`` columns and the ``optional`` ones present into a
     float64 structured array with one field per column and one element per
     data row.  ``required=None`` reads every header column.  Each column
-    read must carry a distinct, non-empty name; other columns are ignored."""
+    read must carry a distinct, non-empty name and finite numbers; other
+    columns are ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -351,6 +357,8 @@ def _read_columns(path, required: Sequence[str] | None,
             out[col] = np.fromiter(map(float, map(itemgetter(position[col]), rows)),
                                    dtype=float, count=len(rows))
     except (IndexError, ValueError):
+        _raise_first_bad_cell(path, names, position)
+    if not all(np.isfinite(out[col]).all() for col in names):
         _raise_first_bad_cell(path, names, position)
     return out
 

@@ -23,12 +23,12 @@ every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 ``w_j + sum_i w_i``, and the ``ell`` term weighted by ``w_j``.
 
 :func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the infimum
-exactly in ``O((n+m) m + (n+m) log(n+m))`` time by reducing the continuous
-search over ``ell`` to the finite breakpoint set where the threshold map
-changes value.  :func:`sdr_evalues_conservative` implements a simpler,
-slightly conservative variant that avoids the infimum altogether, in
-``O((n+m) log(n+m))`` time.  Both read prefix sums over the score-sorted
-pooled data and hold ``O(n+m)`` memory.  :func:`sdr_evalues_oracle` /
+exactly in ``O((n+m) m + (n+m) log(n+m))`` time as a minimum over the pooled
+thresholds between ``t_j(1)`` and ``t_j(0)`` that are feasible at ``ell = 0``
+(exact in floating point; see ``_sdr_kernel``).  The simpler, slightly
+conservative :func:`sdr_evalues_conservative` avoids the infimum, in
+``O((n+m) log(n+m))`` time.  Both read one pooled prefix over the
+score-sorted data and hold ``O(n+m)`` memory.  :func:`sdr_evalues_oracle` /
 :func:`weighted_sdr_evalues_oracle` are deliberately separate brute-force
 transcriptions used for verification; they build threshold-by-n comparison
 matrices and are meant for small instances.
@@ -77,24 +77,38 @@ def _require_unit_weights(batch: ValidatedBatch, name: str) -> None:
         raise ValueError(f"{name} is the unweighted path; use the weighted_ variant for non-unit weights")
 
 
+def _pooled_prefix(batch: ValidatedBatch):
+    """``(vals, A, ntest)``: the pooled scores in ascending order, the weighted
+    calibration risk over scores ``<= vals[i]`` and the (float) count of test
+    scores ``<= vals[i]``.  Ties share ``A`` and ``ntest``."""
+    vals, prefix0 = _sorted_prefix(np.concatenate([batch.calib_scores, batch.test_scores]),
+                                   np.concatenate([batch.calib_weights * batch.calib_risks,
+                                                   np.zeros(batch.m)]))
+    A = prefix0[np.searchsorted(vals, vals, side="right")]
+    ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
+    return vals, A, ntest
+
+
 def _sdr_kernel(batch: ValidatedBatch, gamma: float):
-    """Exact e-values via the breakpoint reduction, shared by the unweighted
-    and weighted paths (unit weights recover the exchangeable formulas).
+    """Exact e-values, shared by the unweighted and weighted paths (unit
+    weights recover the exchangeable formulas).
+
+    Per test point, ``t(0) >= t(1)`` are the largest thresholds feasible at
+    ``ell = 0`` and ``ell = 1``.  The e-value is ``total_w / largest`` with
+    ``largest = max(w_j * clip(ell_bar, 0, 1) + A)`` over the ``ell = 0``
+    feasible thresholds from ``t(1)``'s tie group to ``t(0)``, where
+    ``ell_bar`` solves ``FR_j(t; ell) = gamma``.  Thresholds that no ``ell``
+    attains are harmless: each has a larger feasible one with a larger
+    ``ell_bar``, and clip, ``w_j * x``, ``+ A`` and ``total_w / x`` are
+    monotone under rounding.  The ``t(0) == t(1)`` shortcut is kept on
+    purpose: it uses ``ell = 1`` exactly, not a rounded ``ell_bar``.
 
     Returns ``(evalues, t0, t1)`` with ``nan`` marking absent thresholds.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    n, m = batch.n, batch.m
-    # vals = pooled scores in ascending order; A[i] = sum of weighted
-    # calibration risks with score <= vals[i]; ntest[i] = number of test
-    # scores <= vals[i]; nxt[i] = index of the first pooled score above
-    # vals[i].  Ties share prefix values.
-    vals, prefix0 = _sorted_prefix(np.concatenate([batch.calib_scores, batch.test_scores]),
-                                   np.concatenate([batch.calib_weights * batch.calib_risks, np.zeros(m)]))
-    nxt = np.searchsorted(vals, vals, side="right")
-    A = prefix0[nxt]
-    ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
+    m = batch.m
+    vals, A, ntest = _pooled_prefix(batch)
     calib_wsum = float(np.sum(batch.calib_weights))
 
     evalues = np.zeros(m)
@@ -128,19 +142,12 @@ def _sdr_kernel(batch: ValidatedBatch, gamma: float):
             evalues[j] = total_w / (wj + A[i1])
             continue
 
-        # Candidate thresholds between t(1) and t(0):  ell_bar(t) solves
-        # FR_j(t; ell) = gamma; a threshold is attained by some ell only if
-        # no strictly larger feasible threshold has a larger ell_bar.
-        ell_bar = (gamma * total_w * denom / m - A) / wj
-        cand = np.where(feas0, ell_bar, -np.inf)
-        suffix = np.maximum.accumulate(cand[::-1])[::-1]
-        larger_best = np.where(nxt < n + m, suffix[np.minimum(nxt, n + m - 1)], -np.inf)
-        keep = feas0 & (vals >= t1) & (vals <= t0_arr[j]) & (ell_bar >= larger_best)
-        keep |= (vals == t1) & feas0   # t(1) is always attained (ell_bar >= 1 there)
-        ell = np.clip(ell_bar[keep], 0.0, 1.0)   # ell is a risk value in [0, 1]
-        denom_e = wj * ell + A[keep]
-        with np.errstate(divide="ignore"):
-            evalues[j] = float(np.min(np.where(denom_e > 0.0, total_w / denom_e, np.inf)))
+        # The feasible indices from t(1)'s tie group to t(0); feas1 implies
+        # feas0, so the window holds i1 and is never empty.
+        win = idx0[np.searchsorted(idx0, np.searchsorted(vals, t1, side="left")):]
+        ell_bar = (gamma * total_w * denom[win] / m - A[win]) / wj
+        largest = np.max(wj * np.clip(ell_bar, 0.0, 1.0) + A[win])
+        evalues[j] = total_w / largest if largest > 0.0 else np.inf
 
     return evalues, t0_arr, t1_arr
 
@@ -200,21 +207,25 @@ def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> 
     return np.unique(np.concatenate([grid, [0.0, 1.0], bp]))
 
 
+def _oracle_sums(batch: ValidatedBatch, j: int):
+    """Point ``j``'s sums at every distinct pooled threshold, by direct
+    comparison (no prefix machinery)."""
+    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
+    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
+    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
+    others = np.delete(batch.test_scores, j)
+    n_other = np.sum(others[None, :] <= thresholds[:, None], axis=1)
+    covers = (batch.test_scores[j] <= thresholds).astype(float)
+    total_w = batch.test_weights[j] + float(np.sum(batch.calib_weights))
+    return thresholds, wl_sum, n_other, covers, total_w
+
+
 def _weighted_sdr_evalue_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
                                     ell_grid_size: int, ell_set) -> float:
     m = batch.m
     sj = batch.test_scores[j]
     wj = batch.test_weights[j]
-    total_w = wj + float(np.sum(batch.calib_weights))
-    pooled = np.concatenate([batch.calib_scores, batch.test_scores])
-    thresholds = np.unique(pooled)
-
-    # Sums at every threshold by direct comparison (no prefix machinery).
-    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
-    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
-    others = np.delete(batch.test_scores, j)
-    n_other = np.sum(others[None, :] <= thresholds[:, None], axis=1)
-    covers = (sj <= thresholds).astype(float)
+    thresholds, wl_sum, n_other, covers, total_w = _oracle_sums(batch, j)
 
     breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
     ells = _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set)
@@ -266,17 +277,8 @@ def weighted_sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int =
 
 
 def _oracle_threshold(batch: ValidatedBatch, j: int, gamma: float, ell: float) -> float:
-    m = batch.m
-    sj = batch.test_scores[j]
-    wj = batch.test_weights[j]
-    total_w = wj + float(np.sum(batch.calib_weights))
-    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
-    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
-    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
-    others = np.delete(batch.test_scores, j)
-    n_other = np.sum(others[None, :] <= thresholds[:, None], axis=1)
-    covers = (sj <= thresholds).astype(float)
-    fr = (wj * ell * covers + wl_sum) / (1.0 + n_other) * (m / total_w)
+    thresholds, wl_sum, n_other, covers, total_w = _oracle_sums(batch, j)
+    fr = (batch.test_weights[j] * ell * covers + wl_sum) / (1.0 + n_other) * (batch.m / total_w)
     feasible = np.flatnonzero(fr <= gamma + _BOUNDARY_TOL)
     return float(thresholds[feasible[-1]]) if feasible.size else np.nan
 
@@ -329,11 +331,8 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues_conservative")
     n, m = batch.n, batch.m
-
-    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
-    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores, batch.calib_risks)
-    risk_sum = prefix0[np.searchsorted(sorted_scores, thresholds, side="right")]
-    test_count = np.searchsorted(np.sort(batch.test_scores), thresholds, side="right")
+    # Ties share risk_sum and test_count, so no rule below splits a group.
+    thresholds, risk_sum, test_count = _pooled_prefix(batch)
 
     def feasible(numerator: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -194,3 +194,71 @@ def per_step_loss_logistic_fit(source_x, target_x, lr=0.1, iters=500):
             if not np.isfinite(loss):
                 raise DivergedFit(f"logistic loss became non-finite ({loss!r})")
     return coef, float(intercept), loss
+
+
+# ---------------------------------------------------------------------------
+# Attained-breakpoint reference for the exact SDR kernel: a straight
+# transcription of the per-point loop that keeps only thresholds some ell
+# attains (a suffix-max filter) before taking the minimum.  The library scans
+# every ell=0-feasible threshold between t(1) and t(0) instead; the outputs
+# must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def attained_breakpoint_sdr_kernel(calib, tests, gamma):
+    """``(evalues, t0, t1)`` of ``weighted_sdr_evalues`` with ``nan`` marking
+    absent thresholds."""
+    batch = validate_batch(calib, tests)
+    n, m = batch.n, batch.m
+    keys = np.concatenate([batch.calib_scores, batch.test_scores])
+    order = np.argsort(keys, kind="stable")
+    vals = keys[order]
+    prefix0 = np.concatenate([[0.0], np.cumsum(
+        np.concatenate([batch.calib_weights * batch.calib_risks, np.zeros(m)])[order])])
+    nxt = np.searchsorted(vals, vals, side="right")
+    A = prefix0[nxt]
+    ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
+    calib_wsum = float(np.sum(batch.calib_weights))
+
+    evalues = np.zeros(m)
+    t0_arr = np.full(m, np.nan)
+    t1_arr = np.full(m, np.nan)
+
+    for j in range(m):
+        sj = batch.test_scores[j]
+        wj = batch.test_weights[j]
+        total_w = calib_wsum + wj
+        covers = vals >= sj
+        denom = 1.0 + ntest - covers
+        factor = m / total_w
+        fr0 = A / denom * factor
+        fr1 = (A + wj * covers) / denom * factor
+        feas0 = fr0 <= gamma
+        feas1 = fr1 <= gamma
+
+        idx0 = np.flatnonzero(feas0)
+        if idx0.size:
+            t0_arr[j] = vals[idx0[-1]]
+        idx1 = np.flatnonzero(feas1)
+        if idx1.size == 0:
+            continue
+        i1 = idx1[-1]
+        t1 = vals[i1]
+        t1_arr[j] = t1
+        if sj > t1:
+            continue
+        if t0_arr[j] == t1:
+            evalues[j] = total_w / (wj + A[i1])
+            continue
+
+        ell_bar = (gamma * total_w * denom / m - A) / wj
+        cand = np.where(feas0, ell_bar, -np.inf)
+        suffix = np.maximum.accumulate(cand[::-1])[::-1]
+        larger_best = np.where(nxt < n + m, suffix[np.minimum(nxt, n + m - 1)], -np.inf)
+        keep = feas0 & (vals >= t1) & (vals <= t0_arr[j]) & (ell_bar >= larger_best)
+        keep |= (vals == t1) & feas0
+        ell = np.clip(ell_bar[keep], 0.0, 1.0)
+        denom_e = wj * ell + A[keep]
+        with np.errstate(divide="ignore"):
+            evalues[j] = float(np.min(np.where(denom_e > 0.0, total_w / denom_e, np.inf)))
+
+    return evalues, t0_arr, t1_arr

@@ -265,6 +265,38 @@ def test_estimate_weights_repeated_or_empty_feature_name(tmp_path, capsys, heade
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_estimate_weights_non_finite_feature_cell_is_data_error(tmp_path, capsys, cell):
+    src = _write(tmp_path / "src.csv", f"x1,x2\n0.5,0.1\n0.2,{cell}\n")
+    tgt = _write(tmp_path / "tgt.csv", "x1,x2\n0.1,0.2\n0.4,0.6\n")
+    assert main(["estimate-weights", src, tgt]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {src}: line 3: non-finite value '{cell}' in column 'x2'" in err
+
+
+def test_select_nan_score_names_file_and_line(tmp_path, capsys):
+    calib = _write(tmp_path / "calib.csv", "score,risk\n0.1,0.0\nnan,0.5\n")
+    test = _write(tmp_path / "test.csv", "score\n0.2\n")
+    assert main(["select", calib, test, "--method", "sdr", "--alpha", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {calib}: line 3: non-finite value 'nan' in column 'score'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--method", "mdr", "--alpha", "0.3", "--conservative"],
+    ["select", "--method", "mdr", "--alpha", "0.3", "--boost", "hete"],
+    ["select", "--method", "mdr", "--alpha", "0.3", "--boost", "homo"],
+    ["select", "--method", "sdr", "--alpha", "0.3", "--conservative", "--gamma", "0.3"],
+    ["evalues", "--conservative", "--alpha", "0.3", "--gamma", "0.3"],
+    ["evalues", "--conservative", "--alpha", "0.3", "--weighted"],
+], ids=["mdr-conservative", "mdr-boost-hete", "mdr-boost-homo", "select-conservative-gamma",
+        "evalues-conservative-gamma", "evalues-conservative-weighted"])
+def test_flags_the_command_would_ignore_are_usage_errors(fixture_files, capsys, argv):
+    calib, test = fixture_files
+    assert main([argv[0], calib, test, *argv[1:]]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_perfbench_spans_resolve():
     # perfbench/spans.py wraps these module globals by name under --trace 1.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -9,8 +9,8 @@ import pytest
 from score_kit import (ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
                        sdr_evalues_oracle, validate_batch, weighted_sdr_evalues,
                        weighted_sdr_evalues_oracle)
-from helpers import (dense_sdr_evalues_conservative, exchangeable_pairs, mc_bound_ok,
-                     random_sdr_instance, risk_evalue_products)
+from helpers import (attained_breakpoint_sdr_kernel, dense_sdr_evalues_conservative,
+                     exchangeable_pairs, mc_bound_ok, random_sdr_instance, risk_evalue_products)
 
 FIX_CALIB = [(0.1, 0.0), (0.3, 0.0), (0.9, 0.5)]
 FIX_TESTS = [0.2, 0.4, 0.8]
@@ -78,6 +78,71 @@ def test_weighted_kernel_matches_weighted_oracle_random():
         fast = weighted_sdr_evalues(calib, tests, gamma).evalues
         slow = weighted_sdr_evalues_oracle(calib, tests, gamma, ell_grid_size=101).evalues
         assert _agree(fast, slow), (calib, tests, gamma, fast, slow)
+
+
+KERNEL_GAMMAS = (0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 0.7, 0.75, 1.0, 2.0)
+
+
+def _kernel_instance(rng, k):
+    """Even ``k``: tied integer or 0.1-grid scores, risks in halves, quarters
+    or tenths, unit or quarter-dyadic weights.  Odd ``k``: continuous scores,
+    risks and weights."""
+    n, m = int(rng.integers(1, 31)), int(rng.integers(1, 13))
+    if k % 2:
+        cs, ts, risks = rng.normal(size=n), rng.normal(size=m), rng.uniform(size=n)
+        wc, wt = rng.uniform(0.2, 5.0, size=n), rng.uniform(0.2, 5.0, size=m)
+    else:
+        scale = (1, 10)[k % 4 // 2]
+        cs, ts = rng.integers(0, 6 * scale, size=n) / scale, rng.integers(0, 6 * scale, size=m) / scale
+        d = (2, 4, 10)[k % 3]
+        risks = rng.integers(0, d + 1, size=n) / d
+        unit = k % 8 < 4
+        wc = np.ones(n) if unit else rng.integers(1, 9, size=n) / 4
+        wt = np.ones(m) if unit else rng.integers(1, 9, size=m) / 4
+    return list(zip(cs, risks, wc)), list(zip(ts, wt))
+
+
+def test_kernel_equals_attained_breakpoint_reference():
+    # The kernel minimizes over every ell=0-feasible threshold in the
+    # t(1)..t(0) window; the reference keeps only the thresholds some ell
+    # attains.  Monotone rounding makes the two agree bit for bit.
+    rng = np.random.default_rng(41)
+    windowed = 0
+    for k in range(4000):
+        calib, tests = _kernel_instance(rng, k)
+        gamma = KERNEL_GAMMAS[k % 12] if k % 5 else float(rng.uniform(0.05, 1.5))
+        res = weighted_sdr_evalues(calib, tests, gamma)
+        ev, t0, t1 = attained_breakpoint_sdr_kernel(calib, tests, gamma)
+        assert np.array_equal(res.evalues, ev, equal_nan=True), (calib, tests, gamma)
+        assert np.array_equal(res.thresholds_at_0, t0, equal_nan=True), (calib, tests, gamma)
+        assert np.array_equal(res.thresholds_at_1, t1, equal_nan=True), (calib, tests, gamma)
+        windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
+    assert windowed >= 400
+
+
+def test_kernel_keeps_ell_one_when_thresholds_coincide():
+    # t(0) == t(1): the e-value takes ell = 1 exactly; the window rule would
+    # take the rounded ell_bar and give 1.4285714285714288
+    res = sdr_evalues([(1.0, 0.9), (0.0, 0.1), (1.0, 0.8)], [2.0, 2.0, 1.0], gamma=0.7)
+    assert res.evalues.tolist() == [1.4285714285714286] * 3
+
+
+# Found by search: one ulp decides the e-value.  In the first four the window
+# maximum sits in t(1)'s own tie group; in the last a threshold below t(1),
+# 1e-16 of risk away, would set it if the window started at index 0.
+@pytest.mark.parametrize("gamma, calib, tests", [
+    (1 / 3, [(2.0, 0.1, 2.6), (2.0, 0.5, 0.2)], [(0.0, 1.4), (0.0, 1.9), (0.0, 2.2)]),
+    (0.4, [(2.0, 0.2, 2.4), (2.0, 0.2, 1.5)], [(1.0, 2.6), (1.0, 0.9)]),
+    (0.5, [(0.0, 0.0, 2.4), (1.0, 0.5, 1.3), (3.0, 0.5, 0.3)], [(0.0, 2.7)]),
+    (0.5, [(3.0, 0.4, 0.8), (3.0, 0.2, 0.5)], [(1.0, 1.3), (2.0, 1.1), (2.0, 2.4), (2.0, 0.1)]),
+    (0.27115384615384613, [(3.0, 0.2, 0.3), (3.0, 0.5, 2.0), (0.0, 0.4, 0.8), (2.0, 1e-16, 2.9),
+                           (1.0, 0.0, 1.9)], [(1.0, 2.5)]),
+])
+def test_kernel_one_ulp_cases_match_reference(gamma, calib, tests):
+    res = weighted_sdr_evalues(calib, tests, gamma)
+    for got, want in zip((res.evalues, res.thresholds_at_0, res.thresholds_at_1),
+                         attained_breakpoint_sdr_kernel(calib, tests, gamma)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_unit_weights_reduce_exactly():
