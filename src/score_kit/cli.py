@@ -19,14 +19,12 @@ Floats are written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
-from .core import (Levels, ScoreKitError, _read_columns, read_calibration_csv, read_test_csv,
-                   validate_batch)
+from .core import (Levels, ScoreKitError, _read_columns, _write_csv, read_calibration_csv,
+                   read_test_csv, validate_batch)
 from .mdr import deploy_mask
 from .models import DivergedFit, logistic_fit_weights, weight_predict
 from .sdr import sdr_evalues, sdr_evalues_conservative, weighted_sdr_evalues
@@ -35,8 +33,6 @@ from .simulate import (DgpSetting, ExperimentConfig, RewardKind, RiskKind, Shift
                        canonical_risk, run_experiment, write_metrics_csv)
 
 __all__ = ["main"]
-
-_FMT = "{:.17g}".format
 
 
 class _UsageError(Exception):
@@ -54,19 +50,6 @@ def _resolve_seed(seed: int | None) -> int:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
         print(f"seed drawn from entropy: {seed} (pass --seed {seed} to replay)", file=sys.stderr)
     return seed
-
-
-def _write_csv(path, header, columns) -> None:
-    """Write ``header`` and then one row per position of the equal-length
-    ``columns`` to ``path`` (stdout when ``None``)."""
-    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-
-
-def _formatted(values: np.ndarray) -> list[str]:
-    return [_FMT(v) for v in values.tolist()]
 
 
 def _load_batch(args):
@@ -92,11 +75,11 @@ def _compute_evalues(args, batch, gamma):
 def _cmd_select(args) -> int:
     batch = _load_batch(args)
     gamma = args.gamma if args.gamma is not None else args.alpha
-    index, scores = range(batch.m), _formatted(batch.test_scores)
+    index, scores = range(batch.m), batch.test_scores.tolist()
     if args.method == "mdr":
         mask = deploy_mask(batch, Levels(alpha=args.alpha, gamma=gamma))
-        _write_csv(args.out, ["index", "score", "deploy"],
-                   (index, scores, mask.astype(int).tolist()))
+        _write_csv(args.out or sys.stdout, ["index", "score", "deploy"], "%d,%.17g,%d",
+                   zip(index, scores, mask.tolist()))
         return 0
 
     ev = _compute_evalues(args, batch, gamma)
@@ -110,16 +93,16 @@ def _cmd_select(args) -> int:
             result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
     selected = np.zeros(batch.m, dtype=int)
     selected[list(result.selected)] = 1
-    _write_csv(args.out, ["index", "score", "evalue", "selected"],
-               (index, scores, _formatted(ev), selected.tolist()))
+    _write_csv(args.out or sys.stdout, ["index", "score", "evalue", "selected"],
+               "%d,%.17g,%.17g,%d", zip(index, scores, ev.tolist(), selected.tolist()))
     return 0
 
 
 def _cmd_evalues(args) -> int:
     batch = _load_batch(args)
     ev = _compute_evalues(args, batch, args.gamma)
-    _write_csv(args.out, ["index", "score", "evalue"],
-               (range(batch.m), _formatted(batch.test_scores), _formatted(ev)))
+    _write_csv(args.out or sys.stdout, ["index", "score", "evalue"], "%d,%.17g,%.17g",
+               zip(range(batch.m), batch.test_scores.tolist(), ev.tolist()))
     return 0
 
 
@@ -185,7 +168,8 @@ def _cmd_estimate_weights(args) -> int:
     else:
         query = tgt
     weights = np.atleast_1d(weight_predict(model, query))
-    _write_csv(args.out, ["index", "weight"], (range(weights.size), _formatted(weights)))
+    _write_csv(args.out or sys.stdout, ["index", "weight"], "%d,%.17g",
+               zip(range(weights.size), weights.tolist()))
     return 0
 
 
@@ -267,6 +251,8 @@ def main(argv=None) -> int:
         if args.command == "evalues":
             if args.conservative and args.alpha is None:
                 raise _UsageError("--conservative requires --alpha")
+            if not args.conservative and args.alpha is not None:
+                raise _UsageError("--alpha applies only with --conservative")
             if not args.conservative and (args.gamma is None or not args.gamma > 0.0):
                 raise _UsageError("a positive --gamma is required (or pass --conservative with --alpha)")
         return args.func(args)

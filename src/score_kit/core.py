@@ -19,8 +19,9 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -294,15 +295,18 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # ``score[,weight]``.  Missing weight column means weight 1.  Feature files
 # (``estimate-weights``): every header column is a distinctly named feature.
 # A column that is read must be named exactly once; extra columns are
-# ignored, and so are blank lines.  Every cell read must be a finite number.
-# Comma-separated, UTF-8, '.' decimal, header required.  Errors name the file
-# and the physical line.
+# ignored, and so are blank lines.  Every cell read must be a finite ASCII
+# decimal number without ``_`` digit separators.  Comma-separated, UTF-8,
+# '.' decimal, header required.  Errors name the file and the physical line.
+# Output: 17 significant digits, CRLF line ends.
 # ---------------------------------------------------------------------------
 
 def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
     """Rescan ``path`` row by row and raise a :class:`SchemaError` naming the
     file and the physical line of the first missing, non-numeric or
-    non-finite cell."""
+    non-finite cell.  A number is what numpy's text parser reads: after
+    stripping whitespace, ASCII only and no ``_`` (Python's ``float`` also
+    takes ``1_0`` and non-ASCII digits)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -315,8 +319,11 @@ def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
                 if raw == "":
                     raise SchemaError(f"missing value for column {col!r}",
                                       line=reader.line_num, path=path)
+                cell = raw.strip()
                 try:
-                    value = float(raw)
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(raw)
+                    value = float(cell)
                 except ValueError:
                     raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
                                       line=reader.line_num, path=path) from None
@@ -332,7 +339,9 @@ def _read_columns(path, required: Sequence[str] | None,
     float64 structured array with one field per column and one element per
     data row.  ``required=None`` reads every header column.  Each column
     read must carry a distinct, non-empty name and finite numbers; other
-    columns are ignored."""
+    columns are ignored.  The header is read with :mod:`csv`; the data rows
+    are parsed in one pass by numpy's text parser, which gives the values
+    Python's ``float`` gives.  The file is opened once, so a pipe works."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -350,17 +359,30 @@ def _read_columns(path, required: Sequence[str] | None,
                 raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
                                   line=1, path=path)
         position = {col: header.index(col) for col in names}
-        rows = [row for row in reader if row]
-    out = np.empty(len(rows), dtype=[(col, float) for col in names])
-    try:
-        for col in names:
-            out[col] = np.fromiter(map(float, map(itemgetter(position[col]), rows)),
-                                   dtype=float, count=len(rows))
-    except (IndexError, ValueError):
-        _raise_first_bad_cell(path, names, position)
+        dtype = [(col, float) for col in names]
+        # loadtxt warns on input without rows, so look for the first one here.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            return np.empty(0, dtype=dtype)
+        try:
+            out = np.loadtxt(chain([first], fh), dtype=dtype, delimiter=",",
+                             usecols=[position[col] for col in names], comments=None,
+                             quotechar='"', ndmin=1)
+        except ValueError:
+            _raise_first_bad_cell(path, names, position)
     if not all(np.isfinite(out[col]).all() for col in names):
         _raise_first_bad_cell(path, names, position)
     return out
+
+
+def _write_csv(out, header: Sequence[str], row_fmt: str, rows: Iterable) -> None:
+    """Write ``header`` and then each of ``rows`` formatted by the ``%``
+    format ``row_fmt`` (``%.17g`` for floats), CRLF-terminated like
+    :mod:`csv`, to ``out``: a path, or an open text stream."""
+    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
+    with open(out, "w", newline="", encoding="utf-8") if own else nullcontext(out) as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(map((row_fmt + "\r\n").__mod__, rows)))
 
 
 def read_calibration_csv(path) -> np.ndarray:
@@ -368,8 +390,8 @@ def read_calibration_csv(path) -> np.ndarray:
 
     The array has one float64 field per schema column present in the header
     (``score``, ``risk`` and, if present, ``weight``) and one element per
-    data row, so ``len()`` is the row count.  Each cell is parsed with
-    Python's ``float``.
+    data row, so ``len()`` is the row count.  The cells are parsed by
+    numpy's text parser, which gives the values Python's ``float`` gives.
     """
     return _read_columns(path, required=("score", "risk"), optional=("weight",))
 

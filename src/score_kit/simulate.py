@@ -11,14 +11,13 @@ marginal/selective risk, reward, and selection counts per target level.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .baselines import BaselineConfig, concentration_mdr_threshold, concentration_sdr_threshold, rademacher_signs
-from .core import Levels, ScoreKitError, ValidatedBatch
+from .core import Levels, ScoreKitError, ValidatedBatch, _write_csv
 from .mdr import deploy_mask
 from .models import _sigmoid, knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict
 from .sdr import _sdr_kernel
@@ -516,18 +515,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], out) -> None:
-    """Write metrics rows as CSV (17 significant digits for floats)."""
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    fh = open(out, "w", newline="", encoding="utf-8") if own else out
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                f"{r.alpha:.17g}", r.method, r.boost, r.score_mode, r.setting,
-                r.risk, r.shift, f"{r.realized_risk:.17g}", f"{r.se_risk:.17g}",
-                f"{r.mean_reward:.17g}", f"{r.mean_nsel:.17g}", f"{r.tdr:.17g}",
-            ])
-    finally:
-        if own:
-            fh.close()
+    """Write metrics rows as CSV to a path or an open text stream (17
+    significant digits for floats)."""
+    _write_csv(out, METRICS_COLUMNS, "%.17g,%s,%s,%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g",
+               map(astuple, rows))

@@ -1,5 +1,8 @@
 """Shared generators and comparison helpers for the test suite."""
 
+import csv
+from operator import itemgetter
+
 import numpy as np
 
 from score_kit import DivergedFit, validate_batch
@@ -262,3 +265,40 @@ def attained_breakpoint_sdr_kernel(calib, tests, gamma):
             evalues[j] = float(np.min(np.where(denom_e > 0.0, total_w / denom_e, np.inf)))
 
     return evalues, t0_arr, t1_arr
+
+
+# ---------------------------------------------------------------------------
+# CSV references: the cell-by-cell reader and writer the package used before
+# it parsed data rows with numpy's text parser and wrote them through one
+# ``%`` row format.  Reads must equal these bit for bit, writes byte for byte.
+# ---------------------------------------------------------------------------
+
+def csv_reference_columns(path, names):
+    """The float columns ``names`` of a CSV file, parsed cell by cell with
+    :mod:`csv` and Python's ``float``; blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        position = {col: header.index(col) for col in names}
+        rows = [row for row in reader if row]
+    out = np.empty(len(rows), dtype=[(col, float) for col in names])
+    for col in names:
+        out[col] = np.fromiter(map(float, map(itemgetter(position[col]), rows)),
+                               dtype=float, count=len(rows))
+    return out
+
+
+def csv_reference_write(out, header, columns):
+    """Write ``header`` and one row per position of ``columns`` to the text
+    stream ``out`` with :mod:`csv`; float arrays are formatted with
+    ``"{:.17g}".format``, other columns are written as they are."""
+    fmt = "{:.17g}".format
+
+    def cells(col):
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            return [fmt(v) for v in col.tolist()]
+        return col
+
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(zip(*map(cells, columns)))

@@ -64,6 +64,7 @@ def _exch_setup(rng, n, m, setting):
     return s[:n], L[:n], s[n:], L[n:]
 
 
+@pytest.mark.slow
 def test_criterion_1_evalue_validity():
     n, m, reps, gamma = 200, 20, 2000, 0.2
     setting = sk.DgpSetting(2)
@@ -120,6 +121,7 @@ def sdr_grids():
             for s in range(1, 7) for boost in ("none", "hete", "homo")}
 
 
+@pytest.mark.slow
 def test_criterion_2_mdr_control(mdr_grid):
     violations = []
     tight = 0
@@ -134,6 +136,7 @@ def test_criterion_2_mdr_control(mdr_grid):
                ok, f"violations={violations}; tight settings at 0.3: {tight}/6")
 
 
+@pytest.mark.slow
 def test_criterion_3_sdr_control(sdr_grids):
     violations = []
     superset_fails = []
@@ -259,6 +262,7 @@ def test_criterion_5_weighted_reductions():
 # Criterion 6: covariate-shift control with estimated weights.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_shift_control_with_estimated_weights():
     violations = []
     for shift in ("w1", "w2", "w3"):

@@ -1,14 +1,17 @@
 """Tests for the command-line interface (exit codes, schemas, round trips)."""
 
 import csv
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from score_kit import Levels, deploy_mask, ebh, sdr_evalues, validate_batch
+from score_kit import (Levels, deploy_mask, ebh, logistic_fit_weights, sdr_evalues,
+                       validate_batch, weight_predict)
 from score_kit.cli import main
+from helpers import csv_reference_write
 
 
 def _write(path, text):
@@ -124,6 +127,57 @@ def test_evalues_subcommand(fixture_files, tmp_path):
                  "--out", out]) == 0
     vals = [float(r["evalue"]) for r in _read_rows(out)]
     assert vals == pytest.approx([2.0] * 3)
+
+
+def _expected_output(command, calib, test, batch):
+    """argv and the bytes the csv-module writer gave for one CLI command."""
+    m, scores = batch.m, batch.test_scores
+    if command == "mdr":
+        mask = deploy_mask(batch, Levels(0.5))
+        argv = ["select", calib, test, "--method", "mdr", "--alpha", "0.5"]
+        table = ["index", "score", "deploy"], (range(m), scores, mask.astype(int).tolist())
+    elif command == "sdr":
+        ev = sdr_evalues(batch, None, gamma=0.5).evalues
+        selected = np.zeros(m, dtype=int)
+        selected[list(ebh(ev, 0.5).selected)] = 1
+        argv = ["select", calib, test, "--method", "sdr", "--alpha", "0.5"]
+        table = ["index", "score", "evalue", "selected"], (range(m), scores, ev, selected.tolist())
+    elif command == "evalues":
+        ev = sdr_evalues(batch, None, gamma=0.4).evalues
+        argv = ["evalues", calib, test, "--gamma", "0.4"]
+        table = ["index", "score", "evalue"], (range(m), scores, ev)
+    else:
+        x = np.column_stack([batch.calib_scores, batch.calib_risks])
+        weights = weight_predict(logistic_fit_weights(x, x * x, clip=(0.05, 20.0)), x * x)
+        argv = ["estimate-weights", calib, test]
+        table = ["index", "weight"], (range(weights.size), weights)
+    out = io.StringIO()
+    csv_reference_write(out, *table)
+    return argv, out.getvalue()
+
+
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stdout"])
+@pytest.mark.parametrize("command", ["mdr", "sdr", "evalues", "estimate-weights"])
+def test_cli_output_bytes_match_csv_module_reference(tmp_path, capsys, command, to_path):
+    rng = np.random.default_rng(84)
+    cs = np.concatenate([[-0.0, 5e-324, 1e-5, 1e16], rng.normal(size=56)])
+    risks = np.where(rng.uniform(size=cs.size) < 0.3, 0.0, rng.uniform(size=cs.size))
+    ts = np.concatenate([[-0.0, 5e-324, 1e-5, 1e16, -1e16], rng.normal(size=20)])
+    calib = _write(tmp_path / "calib.csv", "score,risk\n" + "".join(
+        f"{s!r},{r!r}\n" for s, r in zip(cs.tolist(), risks.tolist())))
+    test = _write(tmp_path / "test.csv", "score\n" + "".join(f"{t!r}\n" for t in ts.tolist()))
+    if command == "estimate-weights":
+        # source: the calibration file; target: its cells squared
+        test = _write(tmp_path / "target.csv", "score,risk\n" + "".join(
+            f"{s * s!r},{r * r!r}\n" for s, r in zip(cs.tolist(), risks.tolist())))
+    argv, expected = _expected_output(command, calib, test, validate_batch(list(zip(cs, risks)), list(ts)))
+    if to_path:
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+    else:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_evalues_requires_gamma(fixture_files):
@@ -289,8 +343,9 @@ def test_select_nan_score_names_file_and_line(tmp_path, capsys):
     ["select", "--method", "sdr", "--alpha", "0.3", "--conservative", "--gamma", "0.3"],
     ["evalues", "--conservative", "--alpha", "0.3", "--gamma", "0.3"],
     ["evalues", "--conservative", "--alpha", "0.3", "--weighted"],
+    ["evalues", "--gamma", "0.2", "--alpha", "0.9"],
 ], ids=["mdr-conservative", "mdr-boost-hete", "mdr-boost-homo", "select-conservative-gamma",
-        "evalues-conservative-gamma", "evalues-conservative-weighted"])
+        "evalues-conservative-gamma", "evalues-conservative-weighted", "evalues-alpha-without-conservative"])
 def test_flags_the_command_would_ignore_are_usage_errors(fixture_files, capsys, argv):
     calib, test = fixture_files
     assert main([argv[0], calib, test, *argv[1:]]) == 1

@@ -1,5 +1,10 @@
 """Tests for domain types, validation, and CSV schemas."""
 
+import io
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,8 @@ from score_kit import (CalibSample, EmptyCalibration, Levels, NonFiniteScore,
                        NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler,
                        SchemaError, TestPoint, ValidatedBatch, read_calibration_csv, read_test_csv,
                        rescale_risk, unrescale, validate_batch)
+from score_kit.core import _write_csv
+from helpers import csv_reference_columns, csv_reference_write
 
 
 def test_validate_batch_well_formed():
@@ -165,6 +172,17 @@ def test_csv_error_names_file_and_line(tmp_path):
     assert str(err.value) == f"{p}: line 3: non-numeric value 'x' in column 'score'"
 
 
+# Python's float() also reads "1_0" and non-ASCII digits; numpy's parser and
+# the error rescan both reject them.
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+def test_csv_spellings_only_python_float_reads_are_non_numeric(tmp_path, cell):
+    p = tmp_path / "calib.csv"
+    p.write_text(f"score,risk\n0.1,0.2\n0.3,{cell}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_calibration_csv(p)
+    assert str(err.value) == f"{p}: line 3: non-numeric value {cell!r} in column 'risk'"
+
+
 @pytest.mark.parametrize("reader,header", [
     (read_calibration_csv, "score,risk,score"),
     (read_calibration_csv, "risk,score,risk"),
@@ -210,3 +228,70 @@ def test_csv_empty_file(tmp_path):
     p.write_text("")
     with pytest.raises(SchemaError):
         read_test_csv(p)
+
+
+_SPELLINGS = (repr, "%.17g".__mod__, "%.3f".__mod__, "%.6e".__mod__, "%+.25g".__mod__,
+              lambda v: f" \t{v!r}  ", lambda v: f'"{v!r}"', lambda v: "000" + "%.5f" % abs(v))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csv_reader_matches_float_reference(tmp_path, seed, eol):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((400, 3)) * 10.0 ** rng.integers(-12, 13, (400, 3))
+    # Each row starts with a '#' note cell, which must not read as a comment.
+    lines = ["note,score,risk,weight"]
+    for i, row in enumerate(values.tolist()):
+        if rng.uniform() < 0.05:
+            lines.append("")
+        cells = [_SPELLINGS[k](v) for k, v in zip(rng.integers(0, len(_SPELLINGS), 3), row)]
+        lines.append(",".join([f"#{i}", *cells, *["extra"] * int(rng.integers(0, 3))]))
+    p = tmp_path / "calib.csv"
+    p.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    rows = read_calibration_csv(p)
+    expected = csv_reference_columns(p, ("score", "risk", "weight"))
+    assert len(rows) == 400
+    assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_header_only_reads_empty_without_warning(tmp_path):
+    p = tmp_path / "calib.csv"
+    p.write_text("score,risk,weight\n\n\r\n")
+    rows = read_calibration_csv(p)
+    assert rows.shape == (0,) and rows.dtype.names == ("score", "risk", "weight")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_csv_read_from_a_pipe(tmp_path):
+    # The file is opened once, so a pipe is read whole and in order.
+    rng = np.random.default_rng(5)
+    text = "score,risk\n" + "".join(f"{a!r},{b!r}\n" for a, b in rng.uniform(size=(4000, 2)).tolist())
+    regular = tmp_path / "calib.csv"
+    regular.write_text(text)
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    rows = read_calibration_csv(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert rows.tobytes() == read_calibration_csv(regular).tobytes()
+
+
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stdout"])
+def test_csv_writer_matches_csv_module_reference(tmp_path, capsys, to_path):
+    rng = np.random.default_rng(9)
+    floats = np.concatenate([[np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3],
+                             rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+    flags = (rng.uniform(size=floats.size) < 0.5).astype(int).tolist()
+    header = ["index", "value", "flag"]
+    expected = io.StringIO()
+    csv_reference_write(expected, header, (range(floats.size), floats, flags))
+    rows = zip(range(floats.size), floats.tolist(), flags)
+    if to_path:
+        _write_csv(tmp_path / "out.csv", header, "%d,%.17g,%d", rows)
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    else:
+        _write_csv(sys.stdout, header, "%d,%.17g,%d", rows)
+        assert capsys.readouterr().out == expected.getvalue()

@@ -10,7 +10,8 @@ from score_kit import (DgpSetting, DimensionMismatch, ExperimentConfig, LengthMi
                        UnknownSetting, canonical_risk, compute_metrics, generate_dataset,
                        rejection_sample_shifted, reward_of, risk_of, run_experiment,
                        shift_weight, write_metrics_csv)
-from score_kit.simulate import METRICS_COLUMNS, _mu
+from score_kit.simulate import METRICS_COLUMNS, MetricsRow, _mu
+from helpers import csv_reference_write
 
 
 def test_mu_setting2_at_origin():
@@ -195,6 +196,24 @@ def test_metrics_csv_format():
     cells = lines[1].split(",")
     assert cells[1] == "mdr" and cells[4] == "1"
     float(cells[7])  # realized_risk parses
+
+
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stream"])
+def test_metrics_csv_matches_csv_module_reference(tmp_path, to_path):
+    rows = run_experiment(_tiny_config(alpha_grid=(0.1, 0.3), baselines=("hoeffding",)))
+    rows.append(MetricsRow(1e-5, "sdr", "hete", "risk_reward_ratio", 6, "l2", "w3",
+                           np.inf, -0.0, 5e-324, 1e16, -np.inf))
+    columns = [[getattr(r, col) for r in rows] for col in METRICS_COLUMNS]
+    expected = io.StringIO()
+    csv_reference_write(expected, METRICS_COLUMNS, [
+        np.array(col) if isinstance(col[0], float) else col for col in columns])
+    if to_path:
+        write_metrics_csv(rows, tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    else:
+        buf = io.StringIO()
+        write_metrics_csv(rows, buf)
+        assert buf.getvalue() == expected.getvalue()
 
 
 def test_experiment_config_validation():
