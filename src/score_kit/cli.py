@@ -45,6 +45,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse ``type=`` that converts the text and makes a value outside
+    the option's range a usage error, like a value that does not convert."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+_LEVEL = _checked(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
@@ -116,18 +140,13 @@ def _cmd_simulate(args) -> int:
         risk = canonical_risk(args.setting)
     else:
         risk = RiskKind(kind)
-    try:
-        alphas = tuple(float(a) for a in args.alphas.split(","))
-    except ValueError:
-        raise _UsageError(f"--alphas must be a comma-separated float list, got {args.alphas!r}") from None
-
     config = ExperimentConfig(
         setting=setting,
         risk=risk,
         reward=RewardKind(args.reward),
         shift=ShiftModel(args.shift),
         n=args.n, m=args.m, reps=args.reps,
-        alpha_grid=alphas,
+        alpha_grid=args.alphas,
         method=args.method,
         boost=args.boost,
         score_mode=args.score_mode,
@@ -153,12 +172,7 @@ def _cmd_estimate_weights(args) -> int:
     if src_header != tgt_header:
         raise ScoreKitError(
             f"feature columns differ between {args.source} ({src_header}) and {args.target} ({tgt_header})")
-    try:
-        lo, hi = (float(v) for v in args.clip.split(","))
-    except ValueError:
-        raise _UsageError(f"--clip must be 'LO,HI', got {args.clip!r}") from None
-
-    model = logistic_fit_weights(src, tgt, lr=args.lr, iters=args.iters, clip=(lo, hi))
+    model = logistic_fit_weights(src, tgt, lr=args.lr, iters=args.iters, clip=args.clip)
     print(f"fit done: final loss {model.final_loss:.6f}", file=sys.stderr)
 
     if args.query:
@@ -181,20 +195,20 @@ def _build_parser() -> _Parser:
     p.add_argument("calib", help="calibration CSV (score,risk[,weight])")
     p.add_argument("test", help="test CSV (score[,weight])")
     p.add_argument("--method", choices=("mdr", "sdr"), required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=None, help="defaults to --alpha")
+    p.add_argument("--alpha", type=_LEVEL, required=True)
+    p.add_argument("--gamma", type=_POSITIVE, default=None, help="defaults to --alpha")
     p.add_argument("--boost", choices=("none", "hete", "homo"), default="none")
     p.add_argument("--weighted", action="store_true", help="use the weight columns (covariate shift)")
     p.add_argument("--conservative", action="store_true", help="use the simpler conservative e-values")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("evalues", help="emit selective e-values without filtering")
     p.add_argument("calib")
     p.add_argument("test")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="level for --conservative")
+    p.add_argument("--gamma", type=_POSITIVE, default=None)
+    p.add_argument("--alpha", type=_LEVEL, default=None, help="level for --conservative")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--conservative", action="store_true")
     p.add_argument("--out", default=None)
@@ -206,17 +220,19 @@ def _build_parser() -> _Parser:
                    choices=("auto", "excess", "l2", "sigmoid", "binary", "zero", "binary-all-one"))
     p.add_argument("--reward", choices=("constant", "squared"), default="constant")
     p.add_argument("--shift", choices=("none", "w1", "w2", "w3"), default="none")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--alphas", default="0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5")
+    p.add_argument("--n", type=_COUNT, default=1000)
+    p.add_argument("--m", type=_COUNT, default=100)
+    p.add_argument("--reps", type=_COUNT, default=100)
+    p.add_argument("--alphas", default="0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5",
+                   type=_checked(_floats, lambda a: all(0.0 < x < 1.0 for x in a),
+                                 "comma-separated levels in (0, 1)"))
     p.add_argument("--method", choices=("mdr", "sdr"), required=True)
     p.add_argument("--boost", choices=("none", "hete", "homo"), default="none")
     p.add_argument("--score-mode", dest="score_mode",
                    choices=("risk_prediction", "risk_reward_ratio"), default="risk_prediction")
     p.add_argument("--weighted", choices=("estimated", "true"), default="estimated",
                    help="how weights enter when --shift is not 'none'")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -224,9 +240,12 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="feature CSV from the calibration population")
     p.add_argument("target", help="feature CSV from the test population")
     p.add_argument("--query", default=None, help="feature CSV to score (default: the target file)")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--clip", default="0.05,20", help="weight clip bounds 'LO,HI'")
+    p.add_argument("--lr", type=_checked(float, lambda v: 0.0 < v < np.inf, "a positive finite number"),
+                   default=0.1)
+    p.add_argument("--iters", type=_COUNT, default=500)
+    p.add_argument("--clip", default="0.05,20", help="weight clip bounds 'LO,HI'",
+                   type=_checked(_floats, lambda c: len(c) == 2 and 0.0 < c[0] < c[1],
+                                 "'LO,HI' with 0 < LO < HI"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate_weights)
 
@@ -243,17 +262,12 @@ def main(argv=None) -> int:
         if args.command == "select" and args.method == "mdr" and (
                 args.conservative or args.boost != "none"):
             raise _UsageError("--conservative and --boost apply only to --method sdr")
-        if args.command == "select":
-            if not (0.0 < args.alpha < 1.0):
-                raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-            if args.gamma is not None and not args.gamma > 0.0:
-                raise _UsageError(f"--gamma must be positive, got {args.gamma}")
         if args.command == "evalues":
             if args.conservative and args.alpha is None:
                 raise _UsageError("--conservative requires --alpha")
             if not args.conservative and args.alpha is not None:
                 raise _UsageError("--alpha applies only with --conservative")
-            if not args.conservative and (args.gamma is None or not args.gamma > 0.0):
+            if not args.conservative and args.gamma is None:
                 raise _UsageError("a positive --gamma is required (or pass --conservative with --alpha)")
         return args.func(args)
     except _UsageError as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,36 +300,33 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # Output: 17 significant digits, CRLF line ends.
 # ---------------------------------------------------------------------------
 
-def _raise_first_bad_cell(path, names: Sequence[str], position: dict) -> None:
-    """Rescan ``path`` row by row and raise a :class:`SchemaError` naming the
-    file and the physical line of the first missing, non-numeric or
-    non-finite cell.  A number is what numpy's text parser reads: after
-    stripping whitespace, ASCII only and no ``_`` (Python's ``float`` also
-    takes ``1_0`` and non-ASCII digits)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            for col in names:
-                i = position[col]
-                raw = row[i] if i < len(row) else ""
-                if raw == "":
-                    raise SchemaError(f"missing value for column {col!r}",
-                                      line=reader.line_num, path=path)
-                cell = raw.strip()
-                try:
-                    if not cell.isascii() or "_" in cell:
-                        raise ValueError(raw)
-                    value = float(cell)
-                except ValueError:
-                    raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
-                                      line=reader.line_num, path=path) from None
-                if not np.isfinite(value):
-                    raise SchemaError(f"non-finite value {raw!r} in column {col!r}",
-                                      line=reader.line_num, path=path)
-    raise SchemaError("file changed while it was being read", path=path)
+def _raise_first_bad_cell(reader, path, names: Sequence[str], position: dict) -> None:
+    """Read on from ``reader``, the :func:`csv.reader` that parsed the header,
+    and raise a :class:`SchemaError` naming the file and the physical line of
+    the first missing, non-numeric or non-finite cell.  A number is what
+    numpy's text parser reads: after stripping whitespace, ASCII only and no
+    ``_`` (Python's ``float`` also takes ``1_0`` and non-ASCII digits)."""
+    for row in reader:
+        if not row:
+            continue
+        for col in names:
+            i = position[col]
+            raw = row[i] if i < len(row) else ""
+            if raw == "":
+                raise SchemaError(f"missing value for column {col!r}",
+                                  line=reader.line_num, path=path)
+            cell = raw.strip()
+            try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(raw)
+                value = float(cell)
+            except ValueError:
+                raise SchemaError(f"non-numeric value {raw!r} in column {col!r}",
+                                  line=reader.line_num, path=path) from None
+            if not np.isfinite(value):
+                raise SchemaError(f"non-finite value {raw!r} in column {col!r}",
+                                  line=reader.line_num, path=path)
+    raise SchemaError("the data rows could not be parsed", path=path)
 
 
 def _read_columns(path, required: Sequence[str] | None,
@@ -341,37 +337,39 @@ def _read_columns(path, required: Sequence[str] | None,
     read must carry a distinct, non-empty name and finite numbers; other
     columns are ignored.  The header is read with :mod:`csv`; the data rows
     are parsed in one pass by numpy's text parser, which gives the values
-    Python's ``float`` gives.  The file is opened once, so a pipe works."""
+    Python's ``float`` gives.  The file is read once, so a pipe works and a
+    bad cell is looked for in the lines that were parsed."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("file is empty, expected a header row", line=1, path=path)
-        if required is None:
-            required = header
-        for col in required:
-            if col not in header:
-                raise SchemaError(
-                    f"missing required column {col!r} (header is {header})", line=1, path=path)
-        names = [*required, *(c for c in optional if c in header)]
-        for i, col in enumerate(header):
-            if col in names and (not col or col in header[:i]):
-                raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
-                                  line=1, path=path)
-        position = {col: header.index(col) for col in names}
-        dtype = [(col, float) for col in names]
-        # loadtxt warns on input without rows, so look for the first one here.
-        first = next((line for line in fh if line.strip("\r\n")), None)
-        if first is None:
-            return np.empty(0, dtype=dtype)
-        try:
-            out = np.loadtxt(chain([first], fh), dtype=dtype, delimiter=",",
-                             usecols=[position[col] for col in names], comments=None,
-                             quotechar='"', ndmin=1)
-        except ValueError:
-            _raise_first_bad_cell(path, names, position)
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("file is empty, expected a header row", line=1, path=path)
+    if required is None:
+        required = header
+    for col in required:
+        if col not in header:
+            raise SchemaError(
+                f"missing required column {col!r} (header is {header})", line=1, path=path)
+    names = [*required, *(c for c in optional if c in header)]
+    for i, col in enumerate(header):
+        if col in names and (not col or col in header[:i]):
+            raise SchemaError(f"column {i + 1} has an empty or repeated name {col!r}",
+                              line=1, path=path)
+    position = {col: header.index(col) for col in names}
+    dtype = [(col, float) for col in names]
+    rows = lines[reader.line_num:]
+    # loadtxt warns on input without rows, so look for one here.
+    if not any(line.strip("\r\n") for line in rows):
+        return np.empty(0, dtype=dtype)
+    try:
+        out = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                         usecols=[position[col] for col in names], comments=None,
+                         quotechar='"', ndmin=1)
+    except ValueError:
+        _raise_first_bad_cell(reader, path, names, position)
     if not all(np.isfinite(out[col]).all() for col in names):
-        _raise_first_bad_cell(path, names, position)
+        _raise_first_bad_cell(reader, path, names, position)
     return out
 
 

@@ -22,16 +22,17 @@ Under covariate shift with weights ``w``, the same construction applies with
 every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 ``w_j + sum_i w_i``, and the ``ell`` term weighted by ``w_j``.
 
-:func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the infimum
-exactly in ``O((n+m) m + (n+m) log(n+m))`` time as a minimum over the pooled
-thresholds between ``t_j(1)`` and ``t_j(0)`` that are feasible at ``ell = 0``
-(exact in floating point; see ``_sdr_kernel``).  The simpler, slightly
-conservative :func:`sdr_evalues_conservative` avoids the infimum, in
-``O((n+m) log(n+m))`` time.  Both read one pooled prefix over the
-score-sorted data and hold ``O(n+m)`` memory.  :func:`sdr_evalues_oracle` /
-:func:`weighted_sdr_evalues_oracle` are deliberately separate brute-force
-transcriptions used for verification; they build threshold-by-n comparison
-matrices and are meant for small instances.
+Three readers of one pooled prefix over the score-sorted data, each in
+``O(n+m)`` memory: :func:`sdr_evalues` / :func:`weighted_sdr_evalues`
+compute the infimum exactly in ``O((n+m) m + (n+m) log(n+m))`` time as a
+minimum over the pooled thresholds between ``t_j(1)`` and ``t_j(0)`` that
+are feasible at ``ell = 0`` (exact in floating point; see ``_sdr_kernel``);
+:func:`sdr_evalues_at` evaluates the objective at one fixed ``ell`` and
+:func:`sdr_evalues_conservative` (simpler, slightly conservative) avoids the
+infimum, both in ``O((n+m) log(n+m))`` time and for unit weights only.  The
+brute-force oracles :func:`sdr_evalues_oracle` /
+:func:`weighted_sdr_evalues_oracle` are deliberately separate; they build
+threshold-by-n comparison matrices and are meant for small instances.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ def weighted_sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
 # Feasibility guard: the infimum is attained at breakpoints where the
 # estimated risk equals gamma exactly in real arithmetic; the guard keeps
 # those boundary thresholds feasible under floating-point rounding.
+# sdr_evalues_at shares it, so it equals the oracle at ell_set=(ell,).
 _BOUNDARY_TOL = 1e-12
 
 
@@ -283,33 +285,44 @@ def _oracle_threshold(batch: ValidatedBatch, j: int, gamma: float, ell: float) -
     return float(thresholds[feasible[-1]]) if feasible.size else np.nan
 
 
+# ---------------------------------------------------------------------------
+# Fixed-ell and conservative e-values: one threshold per point, from the prefix.
+# ---------------------------------------------------------------------------
+
+def _own_term_threshold(vals: np.ndarray, test_scores: np.ndarray,
+                        plain: np.ndarray, plus: np.ndarray):
+    """``(hat, covered)``: per test point, the index of its last feasible
+    pooled threshold (-1 if none) and whether that lies at or above its score.
+    ``plain`` / ``plus`` mark feasibility without / with the point's own term,
+    which enters from ``first[j]``, the first threshold ``>= s_j``; so the
+    last ``plus`` index counts when it is ``>= first[j]``."""
+    last_plain = np.maximum.accumulate(np.concatenate(([-1], np.where(plain, np.arange(plain.size), -1))))
+    last_plus = np.max(np.flatnonzero(plus), initial=-1)
+    first = np.searchsorted(vals, test_scores, side="left")
+    covered = last_plus >= first
+    return np.where(covered, last_plus, last_plain[first]), covered
+
+
 def sdr_evalues_at(calib, tests, gamma: float, ell: float) -> np.ndarray:
     """Evaluate the SDR e-value objective at a single fixed candidate risk
-    ``ell`` (no infimum).  ``ell = 1`` gives the variant that, for binary
-    risks with ``gamma`` equal to the eBH level, makes eBH selection coincide
-    with BH on clipped conformal p-values."""
-    batch = validate_batch(calib, tests)
+    ``ell`` (no infimum), for unit weights.  ``ell = 1`` gives the variant
+    that, for binary risks with ``gamma`` equal to the eBH level, makes eBH
+    selection coincide with BH on clipped conformal p-values."""
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
     if not (0.0 <= ell <= 1.0):
         raise ValueError(f"ell must lie in [0, 1], got {ell!r}")
-    out = np.empty(batch.m)
-    for j in range(batch.m):
-        t = _oracle_threshold(batch, j, gamma, ell)
-        sj = batch.test_scores[j]
-        wj = batch.test_weights[j]
-        if np.isnan(t) or sj > t:
-            out[j] = 0.0
-            continue
-        covered = batch.calib_scores <= t
-        denom = wj * ell + float(np.sum(batch.calib_weights[covered] * batch.calib_risks[covered]))
-        total_w = wj + float(np.sum(batch.calib_weights))
-        out[j] = total_w / denom if denom > 0.0 else np.inf
-    return out
+    batch = validate_batch(calib, tests)
+    _require_unit_weights(batch, "sdr_evalues_at")
+    vals, A, ntest = _pooled_prefix(batch)
+    factor = batch.m / (batch.n + 1.0)
+    # 1 + #{other tests <= t} is 1 + ntest below s_j and ntest (>= 1) from s_j on.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hat, covered = _own_term_threshold(vals, batch.test_scores,
+                                           A / (1.0 + ntest) * factor <= gamma + _BOUNDARY_TOL,
+                                           (ell + A) / ntest * factor <= gamma + _BOUNDARY_TOL)
+        return np.where(covered, (batch.n + 1.0) / (ell + A[hat]), 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Conservative construction: replaces the per-point infimum by a pair of
-# stopping-time thresholds, trading a little power for simplicity.
-# ---------------------------------------------------------------------------
 
 def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     """Simpler, slightly conservative SDR e-values.
@@ -322,9 +335,6 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     risk (counting the test point's own risk as 1) stays below ``alpha`` and
     ``t_tilde`` is its analogue without the test term.  The e-value is zero
     when ``t_hat_j`` does not exist or no test score falls below ``t_tilde``.
-
-    Every quantity is a prefix over the score-sorted data, so the whole set
-    takes O((n+m) log(n+m)) time and O(n+m) memory.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -340,23 +350,13 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
                              np.where(numerator > 0, np.inf, 0.0))
         return ratio * (m / (n + 1.0)) <= alpha
 
-    # last_plain[k + 1] = largest threshold index <= k feasible without the
-    # test term (-1 if none).  Point j's own term adds 1 exactly at the
-    # thresholds >= s_j, from index first[j] on, so t_hat_j is the last
-    # feasible index with it when that index is >= first[j], and otherwise
-    # the last plain-feasible index below first[j].
-    idx = np.arange(thresholds.size)
-    last_plain = np.maximum.accumulate(np.concatenate(([-1], np.where(feasible(risk_sum), idx, -1))))
-    plus = np.flatnonzero(feasible(risk_sum + 1.0))
-    last_plus = plus[-1] if plus.size else -1
-    first = np.searchsorted(thresholds, batch.test_scores, side="left")
-    hat = np.where(last_plus >= first, last_plus, last_plain[first])
-
-    tilde = last_plain[-1]
+    plain = feasible(risk_sum)
+    hat, covered = _own_term_threshold(thresholds, batch.test_scores, plain, feasible(risk_sum + 1.0))
+    tilde = np.max(np.flatnonzero(plain), initial=-1)
     t_tilde = thresholds[tilde] if tilde >= 0 else np.nan
     denom_count = test_count[tilde] if tilde >= 0 else 0
     t_hat = np.where(hat >= 0, thresholds[hat], np.nan)
     evalues = np.zeros(m)
     if denom_count:
-        evalues[hat >= first] = (m / alpha) / denom_count
+        evalues[covered] = (m / alpha) / denom_count
     return SdrEvalueSet(evalues, np.full(m, t_tilde), t_hat)

@@ -311,7 +311,6 @@ class ExperimentConfig:
     seed: int = 0
     weighted: str = "estimated"     # how weights enter when shift != none
     baselines: tuple[str, ...] = ()  # e.g. ("hoeffding", "rademacher")
-    baseline_delta: float = 0.1
     train_size: int = 1000
     knn_k: int = 25
 
@@ -357,10 +356,6 @@ METRICS_COLUMNS = ("alpha", "method", "boost", "score_mode", "setting", "risk",
                    "shift", "realized_risk", "se_risk", "mean_reward", "mean_nsel", "tdr")
 
 
-def _knn_vals(model, x):
-    return np.atleast_1d(knn_predict(model, x))
-
-
 def _replicate(config: ExperimentConfig, rng: np.random.Generator):
     """Generate one replicate: scores-by-alpha inputs plus realized test
     risks/rewards and calibration data for baselines."""
@@ -392,7 +387,7 @@ def _replicate(config: ExperimentConfig, rng: np.random.Generator):
         w_test = np.asarray(weight_predict(w_model, test_x))
 
     def f_pred(x):
-        return _knn_vals(f_model, x) if f_model is not None else np.zeros(x.shape[0])
+        return knn_predict(f_model, x) if f_model is not None else np.zeros(x.shape[0])
 
     train_risks = risk_of(risk, f_pred(train_x), train_y)
     calib_risks = risk_of(risk, f_pred(calib_x), calib_y)
@@ -400,12 +395,12 @@ def _replicate(config: ExperimentConfig, rng: np.random.Generator):
     test_rewards = reward_of(config.reward, test_y)
 
     l_model = knn_fit(train_x, train_risks, config.knn_k)
-    l_calib = _knn_vals(l_model, calib_x)
-    l_test = _knn_vals(l_model, test_x)
+    l_calib = knn_predict(l_model, calib_x)
+    l_test = knn_predict(l_model, test_x)
     if config.score_mode == "risk_reward_ratio" and config.reward.kind == "squared":
         r_model = knn_fit(train_x, reward_of(config.reward, train_y), config.knn_k)
-        r_calib = _knn_vals(r_model, calib_x)
-        r_test = _knn_vals(r_model, test_x)
+        r_calib = knn_predict(r_model, calib_x)
+        r_test = knn_predict(r_model, test_x)
     else:
         r_calib = np.ones(config.n)
         r_test = np.ones(config.m)
@@ -445,7 +440,7 @@ def _baseline_select(kind: str, config: ExperimentConfig, batch: ValidatedBatch,
                      rng: np.random.Generator) -> np.ndarray:
     """Indices selected by a concentration baseline at level alpha; the
     baselines read only the batch's scores and calibration risks."""
-    bconf = BaselineConfig(kind=kind, delta=config.baseline_delta)
+    bconf = BaselineConfig(kind=kind)
     if config.method == "mdr":
         draws = rademacher_signs(rng, bconf.rademacher_draws, batch.n) if kind == "rademacher" else None
         t_hat = concentration_mdr_threshold(batch, bconf, alpha, draws)

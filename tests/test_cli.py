@@ -2,7 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +353,45 @@ def test_flags_the_command_would_ignore_are_usage_errors(fixture_files, capsys, 
     calib, test = fixture_files
     assert main([argv[0], calib, test, *argv[1:]]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "{calib}", "{test}", "--method", "sdr", "--alpha", "0.3", "--boost", "homo", "--seed", "-1"],
+    ["evalues", "{calib}", "{test}", "--conservative", "--alpha", "1.5"],
+    ["simulate", "--setting", "1", "--method", "mdr", "--seed", "-1"],
+    ["simulate", "--setting", "1", "--method", "mdr", "--n", "0"],
+    ["simulate", "--setting", "1", "--method", "mdr", "--reps", "0"],
+    ["simulate", "--setting", "1", "--method", "mdr", "--alphas", "0.2,1.5"],
+    ["estimate-weights", "{calib}", "{calib}", "--clip", "5,1"],
+    ["estimate-weights", "{calib}", "{calib}", "--iters", "-3"],
+    ["estimate-weights", "{calib}", "{calib}", "--lr", "-1"],
+], ids=["select-seed", "evalues-conservative-alpha", "simulate-seed", "simulate-n", "simulate-reps",
+        "simulate-alphas", "estimate-weights-clip", "estimate-weights-iters", "estimate-weights-lr"])
+def test_out_of_range_option_values_are_usage_errors(fixture_files, capsys, argv):
+    calib, test = fixture_files
+    assert main([a.format(calib=calib, test=test) for a in argv]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bad_cell_in_a_pipe_is_a_data_error(fixture_files, tmp_path):
+    # Run in a subprocess with a timeout: a reader that opens the pipe a
+    # second time would wait forever.
+    _, test = fixture_files
+    pipe = tmp_path / "calib.csv.fifo"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=("score,risk\n0.1,0.2\n\n0.3,x\n",),
+                              daemon=True)
+    writer.start()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "score_kit.cli", "select", str(pipe), test,
+                           "--method", "mdr", "--alpha", "0.3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == 2, proc.stderr
+    assert f"data error: {pipe}: line 4: non-numeric value 'x' in column 'risk'" in proc.stderr
 
 
 def test_perfbench_spans_resolve():

@@ -279,6 +279,29 @@ def test_csv_read_from_a_pipe(tmp_path):
     assert rows.tobytes() == read_calibration_csv(regular).tobytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cell, problem", [("x", "non-numeric"), ("nan", "non-finite")])
+def test_csv_bad_cell_in_a_pipe_names_the_physical_line(tmp_path, cell, problem):
+    # The bad cell is looked for in the lines already read: a second open of
+    # the pipe would wait for a writer forever, so a timer releases one.
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(f"score,risk\n0.1,0.2\n\n0.3,{cell}\n",),
+                              daemon=True)
+    release = threading.Timer(10, lambda: os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK)))
+    writer.start()
+    release.start()
+    try:
+        with pytest.raises(SchemaError) as err:
+            read_calibration_csv(pipe)
+    finally:
+        release.cancel()
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert err.value.line == 4 and err.value.path == pipe
+    assert str(err.value) == f"{pipe}: line 4: {problem} value '{cell}' in column 'risk'"
+
+
 @pytest.mark.parametrize("to_path", [True, False], ids=["path", "stdout"])
 def test_csv_writer_matches_csv_module_reference(tmp_path, capsys, to_path):
     rng = np.random.default_rng(9)

@@ -242,6 +242,58 @@ def test_binary_attainable_set_matches_fixed_ell():
         assert _agree(restricted, np.minimum(e0, e1))
 
 
+@pytest.mark.parametrize("ell", [0.0, 0.25, 0.5, 1.0])
+def test_fixed_ell_equals_oracle_restricted_to_that_ell(ell):
+    # 0.1-grid tied scores and quarter risks keep every sum exact, so the
+    # prefix path must give the oracle's bits; on continuous data the two may
+    # differ only in summation order
+    rng = np.random.default_rng(34)
+    nonzero = 0
+    for k in range(600):
+        n, m = int(rng.integers(1, 31)), int(rng.integers(1, 13))
+        if k % 2:
+            calib = list(zip(rng.normal(size=n), rng.uniform(size=n)))
+            tests = list(rng.normal(size=m))
+        else:
+            calib = list(zip(rng.integers(0, 11, size=n) / 10, rng.integers(0, 5, size=n) / 4))
+            tests = list(rng.integers(0, 11, size=m) / 10)
+        gamma = KERNEL_GAMMAS[k % 12] if k % 5 else float(rng.uniform(0.05, 1.5))
+        got = sdr_evalues_at(calib, tests, gamma, ell=ell)
+        want = sdr_evalues_oracle(calib, tests, gamma, ell_set=(ell,)).evalues
+        if k % 2:
+            assert np.array_equal(got == 0.0, want == 0.0) and _agree(got, want), (calib, tests, gamma)
+        else:
+            assert np.array_equal(got, want), (calib, tests, gamma)
+        nonzero += bool(np.any(got > 0.0))
+    assert nonzero >= 200
+
+
+def test_fixed_ell_rejects_weights():
+    with pytest.raises(ValueError, match="sdr_evalues_at"):
+        sdr_evalues_at([(0.1, 0.0, 2.0), (0.2, 0.0, 1.0)], [(0.05, 1.0)], gamma=0.3, ell=1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+def test_fixed_ell_rejects_non_positive_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        sdr_evalues_at([(0.1, 0.0), (0.2, 0.0)], [0.05], gamma=gamma, ell=0.0)
+
+
+@pytest.mark.parametrize("ell", [0.0, 1.0])
+def test_fixed_ell_memory_is_linear(ell):
+    rng = np.random.default_rng(32)
+    n, m = 4000, 1000
+    batch = validate_batch(list(zip(rng.normal(size=n), rng.uniform(size=n))),
+                           list(rng.normal(size=m)))
+    tracemalloc.start()
+    try:
+        sdr_evalues_at(batch, None, gamma=0.2, ell=ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 @pytest.mark.parametrize("kind", ["smooth", "excess", "binary"])
 def test_evalue_validity_monte_carlo(kind):
     rng = np.random.default_rng(27)
