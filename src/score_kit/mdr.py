@@ -135,7 +135,7 @@ def mdr_decide(calib, test_score: float, levels: Levels) -> MdrDecision:
         ``alpha``; values below ``alpha`` only make the rule stricter).
     """
     batch = _single_point_batch(calib, test_score)
-    _require_unit_weights(batch, "mdr_decide")
+    _require_unit_weights(batch, "mdr_decide", "weighted_mdr_decide")
     return _point_decision(batch, levels)
 
 
@@ -150,7 +150,7 @@ def mdr_evalue(calib, test_score: float, gamma: float) -> float:
     """Exact MDR e-value (the defining infimum), computed via the
     selective-risk kernel specialized to a single test point."""
     batch = _single_point_batch(calib, test_score)
-    _require_unit_weights(batch, "mdr_evalue")
+    _require_unit_weights(batch, "mdr_evalue", "weighted_mdr_evalue")
     return float(_sdr_kernel(batch, gamma)[0][0])
 
 
@@ -171,7 +171,7 @@ def mdr_evalue_oracle(calib, test_score: float, gamma: float,
     the threshold map.  ``ell_set`` restricts the infimum to an explicit
     finite set of attainable risk values instead."""
     batch = _single_point_batch(calib, test_score)
-    _require_unit_weights(batch, "mdr_evalue_oracle")
+    _require_unit_weights(batch, "mdr_evalue_oracle", "weighted_mdr_evalue_oracle")
     return _weighted_mdr_oracle(batch, gamma, ell_grid_size, ell_set)
 
 

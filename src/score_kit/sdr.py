@@ -26,13 +26,22 @@ Three readers of one pooled prefix over the score-sorted data, each in
 ``O(n+m)`` memory: :func:`sdr_evalues` / :func:`weighted_sdr_evalues`
 compute the infimum exactly in ``O((n+m) m + (n+m) log(n+m))`` time as a
 minimum over the pooled thresholds between ``t_j(1)`` and ``t_j(0)`` that
-are feasible at ``ell = 0`` (exact in floating point; see ``_sdr_kernel``);
-:func:`sdr_evalues_at` evaluates the objective at one fixed ``ell`` and
-:func:`sdr_evalues_conservative` (simpler, slightly conservative) avoids the
-infimum, both in ``O((n+m) log(n+m))`` time and for unit weights only.  The
-brute-force oracles :func:`sdr_evalues_oracle` /
+are feasible at ``ell = 0`` (exact in floating point; see
+``_sdr_kernel_grid``); :func:`sdr_evalues_at` evaluates the objective at one
+fixed ``ell`` and :func:`sdr_evalues_conservative` (simpler, slightly
+conservative) avoids the infimum, both in ``O((n+m) log(n+m))`` time and for
+unit weights only.  The brute-force oracles :func:`sdr_evalues_oracle` /
 :func:`weighted_sdr_evalues_oracle` are deliberately separate; they build
 threshold-by-n comparison matrices and are meant for small instances.
+
+The exact kernel takes a grid of levels.  Per test point it makes one
+``O(n+m)`` pass for the level-free ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)``,
+then ``O(n+m)`` comparisons per level, so a sweep over ``k`` levels costs
+well under ``k`` single-level calls.  The single-level call is that grid at
+one level and keeps its per-point pass.  A loop-free unit-weight form would
+make it several times cheaper, but the benchmark's select-sdr workload
+keeps state per completed operation, so until that workload bounds its
+state a faster op reads as a peak-memory regression (see ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -73,9 +82,13 @@ class SdrEvalueSet:
             a.flags.writeable = False
 
 
-def _require_unit_weights(batch: ValidatedBatch, name: str) -> None:
+def _require_unit_weights(batch: ValidatedBatch, name: str, weighted: str | None = None) -> None:
+    """Reject non-unit weights on a unit-weight path; ``weighted`` names the
+    variant that takes them, where one exists."""
     if not batch.has_unit_weights:
-        raise ValueError(f"{name} is the unweighted path; use the weighted_ variant for non-unit weights")
+        if weighted is None:
+            raise ValueError(f"{name} takes unit weights only; its construction has no weighted variant")
+        raise ValueError(f"{name} is the unweighted path; use {weighted} for non-unit weights")
 
 
 def _pooled_prefix(batch: ValidatedBatch):
@@ -90,9 +103,9 @@ def _pooled_prefix(batch: ValidatedBatch):
     return vals, A, ntest
 
 
-def _sdr_kernel(batch: ValidatedBatch, gamma: float):
-    """Exact e-values, shared by the unweighted and weighted paths (unit
-    weights recover the exchangeable formulas).
+def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
+    """Exact e-values at every level of ``gammas``, shared by the unweighted
+    and weighted paths (unit weights recover the exchangeable formulas).
 
     Per test point, ``t(0) >= t(1)`` are the largest thresholds feasible at
     ``ell = 0`` and ``ell = 1``.  The e-value is ``total_w / largest`` with
@@ -104,53 +117,77 @@ def _sdr_kernel(batch: ValidatedBatch, gamma: float):
     monotone under rounding.  The ``t(0) == t(1)`` shortcut is kept on
     purpose: it uses ``ell = 1`` exactly, not a rounded ``ell_bar``.
 
-    Returns ``(evalues, t0, t1)`` with ``nan`` marking absent thresholds.
+    The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
+    so each point computes them once, in ``O(n+m)``, on descending copies of
+    the pooled prefix.  Each level then costs ``O(n+m)`` comparisons per
+    point: on the descending copy the first True of a feasibility mask is the
+    largest feasible threshold, which ``argmax`` returns (and a False there
+    means no threshold is feasible).  Rounding keeps ``FR_j(t; 1) >=
+    FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)`` down, and the
+    breakpoint window is a slice of the ``ell = 0`` mask.  Every value is the
+    same float expression as in a one-level pass, so a grid gives the bits of
+    one call per level.
+
+    Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
+    ``nan`` marking absent thresholds.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    m = batch.m
+    gammas = tuple(gammas)
+    for gamma in gammas:
+        if not gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {gamma!r}")
+    m, size = batch.m, batch.n + batch.m
     vals, A, ntest = _pooled_prefix(batch)
+    desc_vals, desc_A, desc_den = vals[::-1].copy(), A[::-1].copy(), (1.0 + ntest)[::-1].copy()
     calib_wsum = float(np.sum(batch.calib_weights))
 
-    evalues = np.zeros(m)
-    t0_arr = np.full(m, np.nan)
-    t1_arr = np.full(m, np.nan)
+    evalues = np.zeros((len(gammas), m))
+    t0_arr = np.full((len(gammas), m), np.nan)
+    t1_arr = np.full((len(gammas), m), np.nan)
 
     for j in range(m):
         sj = batch.test_scores[j]
         wj = batch.test_weights[j]
         total_w = calib_wsum + wj
-        covers = vals >= sj                      # 1{s_j <= t}
-        denom = 1.0 + ntest - covers             # 1 + #{other tests <= t}, always >= 1
+        covers = desc_vals >= sj                 # 1{s_j <= t}
+        denom = desc_den - covers                # 1 + #{other tests <= t}, always >= 1
         factor = m / total_w
-        fr0 = A / denom * factor
-        fr1 = (A + wj * covers) / denom * factor
-        feas0 = fr0 <= gamma
-        feas1 = fr1 <= gamma
+        fr0 = desc_A / denom * factor
+        fr1 = (desc_A + wj * covers) / denom * factor
 
-        idx0 = np.flatnonzero(feas0)
-        if idx0.size:
-            t0_arr[j] = vals[idx0[-1]]
-        idx1 = np.flatnonzero(feas1)
-        if idx1.size == 0:
-            continue               # no threshold at ell = 1 -> e-value 0
-        i1 = idx1[-1]
-        t1 = vals[i1]
-        t1_arr[j] = t1
-        if sj > t1:
-            continue               # test score never covered -> e-value 0
-        if t0_arr[j] == t1:
-            evalues[j] = total_w / (wj + A[i1])
-            continue
+        for g, gamma in enumerate(gammas):
+            feas0 = fr0 <= gamma
+            i0 = int(np.argmax(feas0))
+            if not feas0[i0]:
+                continue           # nothing feasible at ell = 0, so none at ell = 1
+            t0_arr[g, j] = desc_vals[i0]
+            feas1 = fr1[i0:] <= gamma
+            i1 = int(np.argmax(feas1))
+            if not feas1[i1]:
+                continue           # no threshold at ell = 1 -> e-value 0
+            i1 += i0
+            t1 = desc_vals[i1]
+            t1_arr[g, j] = t1
+            if sj > t1:
+                continue           # test score never covered -> e-value 0
+            if desc_vals[i0] == t1:
+                evalues[g, j] = total_w / (wj + desc_A[i1])
+                continue
 
-        # The feasible indices from t(1)'s tie group to t(0); feas1 implies
-        # feas0, so the window holds i1 and is never empty.
-        win = idx0[np.searchsorted(idx0, np.searchsorted(vals, t1, side="left")):]
-        ell_bar = (gamma * total_w * denom[win] / m - A[win]) / wj
-        largest = np.max(wj * np.clip(ell_bar, 0.0, 1.0) + A[win])
-        evalues[j] = total_w / largest if largest > 0.0 else np.inf
+            # The feasible positions from t(0) down to t(1)'s tie group; the
+            # window holds i1 and is never empty.
+            win = np.flatnonzero(feas0[:size - np.searchsorted(vals, t1, side="left")])
+            ell_bar = (gamma * total_w * denom[win] / m - desc_A[win]) / wj
+            largest = np.max(wj * np.clip(ell_bar, 0.0, 1.0) + desc_A[win])
+            evalues[g, j] = total_w / largest if largest > 0.0 else np.inf
 
     return evalues, t0_arr, t1_arr
+
+
+def _sdr_kernel(batch: ValidatedBatch, gamma: float):
+    """:func:`_sdr_kernel_grid` at the one level ``gamma``: ``(evalues, t0,
+    t1)``, each of shape ``(m,)``."""
+    evalues, t0_arr, t1_arr = _sdr_kernel_grid(batch, (gamma,))
+    return evalues[0], t0_arr[0], t1_arr[0]
 
 
 def sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
@@ -170,7 +207,7 @@ def sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
         One e-value per test point, exactly equal to the defining infimum.
     """
     batch = validate_batch(calib, tests)
-    _require_unit_weights(batch, "sdr_evalues")
+    _require_unit_weights(batch, "sdr_evalues", "weighted_sdr_evalues")
     return weighted_sdr_evalues(batch, None, gamma)
 
 
@@ -259,7 +296,7 @@ def sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int = 1001,
     grid is not used.
     """
     batch = validate_batch(calib, tests)
-    _require_unit_weights(batch, "sdr_evalues_oracle")
+    _require_unit_weights(batch, "sdr_evalues_oracle", "weighted_sdr_evalues_oracle")
     return weighted_sdr_evalues_oracle(batch, None, gamma, ell_grid_size, ell_set)
 
 

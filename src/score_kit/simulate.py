@@ -20,7 +20,7 @@ from .baselines import BaselineConfig, concentration_mdr_threshold, concentratio
 from .core import Levels, ScoreKitError, ValidatedBatch, _write_csv
 from .mdr import deploy_mask
 from .models import _sigmoid, knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict
-from .sdr import _sdr_kernel
+from .sdr import _sdr_kernel, _sdr_kernel_grid
 from .selection import SelectionResult, boost_hete, boost_homo, ebh
 
 __all__ = [
@@ -414,19 +414,25 @@ def _replicate(config: ExperimentConfig, rng: np.random.Generator):
     }
 
 
-def _scores_for(config: ExperimentConfig, rep: dict, alpha: float):
+def _batch(config: ExperimentConfig, rep: dict, alpha: float | None) -> ValidatedBatch:
+    """The replicate's batch at level alpha; risk-prediction scores ignore it."""
     if config.score_mode == "risk_prediction":
-        return rep["l_calib"], rep["l_test"]
-    return (ratio_scores(rep["l_calib"], rep["r_calib"], alpha, config.method),
-            ratio_scores(rep["l_test"], rep["r_test"], alpha, config.method))
+        scores_calib, scores_test = rep["l_calib"], rep["l_test"]
+    else:
+        scores_calib = ratio_scores(rep["l_calib"], rep["r_calib"], alpha, config.method)
+        scores_test = ratio_scores(rep["l_test"], rep["r_test"], alpha, config.method)
+    return ValidatedBatch(scores_calib, rep["calib_risks"], np.asarray(rep["w_calib"]),
+                          scores_test, np.asarray(rep["w_test"]))
 
 
 def _select(config: ExperimentConfig, batch: ValidatedBatch, alpha: float,
-            rng: np.random.Generator) -> np.ndarray:
-    """Indices selected by the configured method at level alpha."""
+            rng: np.random.Generator, evalues: np.ndarray | None = None) -> np.ndarray:
+    """Indices selected by the configured method at level alpha; an SDR
+    method uses ``evalues`` when given, else runs the kernel at alpha."""
     if config.method == "mdr":
         return np.flatnonzero(deploy_mask(batch, Levels(alpha)))
-    evalues = _sdr_kernel(batch, gamma=alpha)[0]
+    if evalues is None:
+        evalues = _sdr_kernel(batch, gamma=alpha)[0]
     if config.boost == "none":
         res = ebh(evalues, alpha)
     elif config.boost == "hete":
@@ -461,6 +467,14 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     and independent of evaluation order.  The realized risk is the mean over
     test points and replicates of deployed risk (marginal method) or the mean
     over replicates of the per-replicate selective risk (selective method).
+
+    With ``score_mode == "risk_prediction"`` the scores, and so the batch, do
+    not depend on the level: an SDR experiment then runs the kernel once per
+    replicate over the whole ``alpha_grid`` (:func:`sdr._sdr_kernel_grid`,
+    the same bits as one call per level) and only eBH, boosting and the
+    baselines run per level, drawing from the generator in the same order.
+    Ratio scores change with the level, so ``risk_reward_ratio`` keeps one
+    kernel call per level.
     """
     methods = [config.method] + [f"{config.method}_{b}" for b in config.baselines]
     acc = {name: {a: {"risk": [], "reward": [], "nsel": [], "tdr": []}
@@ -470,11 +484,12 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     for child in children:
         rng = np.random.default_rng(child)
         rep = _replicate(config, rng)
-        for alpha in config.alpha_grid:
-            scores_calib, scores_test = _scores_for(config, rep, alpha)
-            batch = ValidatedBatch(scores_calib, rep["calib_risks"], np.asarray(rep["w_calib"]),
-                                   scores_test, np.asarray(rep["w_test"]))
-            selections = {config.method: _select(config, batch, alpha, rng)}
+        grid_evalues = [None] * len(config.alpha_grid)
+        if config.method == "sdr" and config.score_mode == "risk_prediction":
+            grid_evalues = _sdr_kernel_grid(_batch(config, rep, None), config.alpha_grid)[0]
+        for alpha, evalues in zip(config.alpha_grid, grid_evalues):
+            batch = _batch(config, rep, alpha)
+            selections = {config.method: _select(config, batch, alpha, rng, evalues)}
             for b in config.baselines:
                 selections[f"{config.method}_{b}"] = _baseline_select(b, config, batch, alpha, rng)
             for name, sel in selections.items():

@@ -1,5 +1,6 @@
 """Tests for selective-risk e-values: kernel, oracles, conservative variant."""
 
+import re
 import time
 import tracemalloc
 
@@ -9,6 +10,8 @@ import pytest
 from score_kit import (ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
                        sdr_evalues_oracle, validate_batch, weighted_sdr_evalues,
                        weighted_sdr_evalues_oracle)
+from score_kit import sdr as sdr_module
+from score_kit.sdr import _sdr_kernel, _sdr_kernel_grid
 from helpers import (attained_breakpoint_sdr_kernel, dense_sdr_evalues_conservative,
                      exchangeable_pairs, mc_bound_ok, random_sdr_instance, risk_evalue_products)
 
@@ -130,19 +133,89 @@ def test_kernel_keeps_ell_one_when_thresholds_coincide():
 # Found by search: one ulp decides the e-value.  In the first four the window
 # maximum sits in t(1)'s own tie group; in the last a threshold below t(1),
 # 1e-16 of risk away, would set it if the window started at index 0.
-@pytest.mark.parametrize("gamma, calib, tests", [
+ONE_ULP_CASES = [
     (1 / 3, [(2.0, 0.1, 2.6), (2.0, 0.5, 0.2)], [(0.0, 1.4), (0.0, 1.9), (0.0, 2.2)]),
     (0.4, [(2.0, 0.2, 2.4), (2.0, 0.2, 1.5)], [(1.0, 2.6), (1.0, 0.9)]),
     (0.5, [(0.0, 0.0, 2.4), (1.0, 0.5, 1.3), (3.0, 0.5, 0.3)], [(0.0, 2.7)]),
     (0.5, [(3.0, 0.4, 0.8), (3.0, 0.2, 0.5)], [(1.0, 1.3), (2.0, 1.1), (2.0, 2.4), (2.0, 0.1)]),
     (0.27115384615384613, [(3.0, 0.2, 0.3), (3.0, 0.5, 2.0), (0.0, 0.4, 0.8), (2.0, 1e-16, 2.9),
                            (1.0, 0.0, 1.9)], [(1.0, 2.5)]),
-])
+]
+
+
+@pytest.mark.parametrize("gamma, calib, tests", ONE_ULP_CASES)
 def test_kernel_one_ulp_cases_match_reference(gamma, calib, tests):
     res = weighted_sdr_evalues(calib, tests, gamma)
     for got, want in zip((res.evalues, res.thresholds_at_0, res.thresholds_at_1),
                          attained_breakpoint_sdr_kernel(calib, tests, gamma)):
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _assert_grid_equals_per_level(batch, gammas):
+    """The grid kernel's rows against one ``_sdr_kernel`` call per level;
+    returns the number of levels at which some point took the window path."""
+    windowed = 0
+    grid = _sdr_kernel_grid(batch, gammas)
+    for g, gamma in enumerate(gammas):
+        ev, t0, t1 = _sdr_kernel(batch, gamma)
+        for got, want in zip((a[g] for a in grid), (ev, t0, t1)):
+            assert got.shape == want.shape == (batch.m,)
+            assert np.array_equal(got, want, equal_nan=True), (batch, gammas, gamma)
+        windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
+    return windowed
+
+
+def test_kernel_grid_equals_per_level_calls():
+    # shuffled grids with repeated levels: each row holds the bits of its own
+    # single-level call, whatever the order of the levels around it
+    rng = np.random.default_rng(42)
+    windowed = 0
+    for k in range(1000):
+        batch = validate_batch(*_kernel_instance(rng, k))
+        gammas = [*rng.choice(KERNEL_GAMMAS, size=4), *rng.uniform(0.05, 1.5, size=2)]
+        rng.shuffle(gammas)
+        windowed += _assert_grid_equals_per_level(batch, gammas)
+    assert windowed >= 400
+
+
+@pytest.mark.parametrize("case", range(len(ONE_ULP_CASES)))
+def test_kernel_grid_one_ulp_cases(case):
+    # each pinned instance at every pinned level in one grid, its own level
+    # also against the reference
+    gamma, calib, tests = ONE_ULP_CASES[case]
+    gammas = [c[0] for c in ONE_ULP_CASES]
+    batch = validate_batch(calib, tests)
+    assert _assert_grid_equals_per_level(batch, gammas) >= 1
+    grid = _sdr_kernel_grid(batch, gammas)
+    for got, want in zip((a[case] for a in grid), attained_breakpoint_sdr_kernel(calib, tests, gamma)):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, float("nan")])
+def test_kernel_grid_rejects_a_bad_level_before_any_work(monkeypatch, bad):
+    def no_work(batch):
+        raise AssertionError("the pooled prefix was built before the levels were checked")
+
+    monkeypatch.setattr(sdr_module, "_pooled_prefix", no_work)
+    batch = validate_batch([(0.1, 0.0), (0.2, 0.5)], [0.05, 0.3])
+    for gammas in ((bad,), (0.1, 0.3, bad), (bad, 0.2)):
+        with pytest.raises(ValueError, match=f"gamma must be positive, got {bad!r}"):
+            _sdr_kernel_grid(batch, gammas)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c, t: sdr_evalues(c, t, gamma=0.3),
+     "sdr_evalues is the unweighted path; use weighted_sdr_evalues for non-unit weights"),
+    (lambda c, t: sdr_evalues_oracle(c, t, gamma=0.3),
+     "sdr_evalues_oracle is the unweighted path; use weighted_sdr_evalues_oracle for non-unit weights"),
+    (lambda c, t: sdr_evalues_at(c, t, gamma=0.3, ell=1.0),
+     "sdr_evalues_at takes unit weights only; its construction has no weighted variant"),
+    (lambda c, t: sdr_evalues_conservative(c, t, alpha=0.3),
+     "sdr_evalues_conservative takes unit weights only; its construction has no weighted variant"),
+], ids=["sdr_evalues", "sdr_evalues_oracle", "sdr_evalues_at", "sdr_evalues_conservative"])
+def test_unit_weight_paths_name_the_weighted_variant_only_where_it_exists(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call([(0.1, 0.0, 2.0), (0.2, 0.0, 1.0)], [(0.05, 1.0)])
 
 
 def test_unit_weights_reduce_exactly():

@@ -223,3 +223,59 @@ def test_experiment_config_validation():
         _tiny_config(alpha_grid=(0.0, 0.5))
     with pytest.raises(ValueError):
         _tiny_config(boost="always")
+
+
+def _kernel_spies(monkeypatch):
+    """Wrap the names ``run_experiment`` looks up: every grid call is checked
+    row by row against fresh single-level calls, the row each level's
+    selection receives is checked against a fresh call at that level, and
+    the kernel calls of both forms are counted."""
+    from score_kit import simulate, sdr
+
+    calls = {"grid": 0, "level": 0, "rows": 0, "nonzero": 0}
+    select = simulate._select
+
+    def grid(batch, gammas):
+        calls["grid"] += 1
+        out = sdr._sdr_kernel_grid(batch, gammas)
+        for g, gamma in enumerate(gammas):
+            for got, want in zip((a[g] for a in out), sdr._sdr_kernel(batch, gamma)):
+                assert np.array_equal(got, want, equal_nan=True), gamma
+        return out
+
+    def level(batch, gamma):
+        calls["level"] += 1
+        return sdr._sdr_kernel(batch, gamma)
+
+    def checked_select(config, batch, alpha, rng, evalues=None):
+        if evalues is not None:
+            calls["rows"] += 1
+            assert np.array_equal(evalues, sdr._sdr_kernel(batch, alpha)[0]), alpha
+            calls["nonzero"] += int(np.sum(evalues > 0.0))
+        return select(config, batch, alpha, rng, evalues)
+
+    monkeypatch.setattr(simulate, "_sdr_kernel_grid", grid)
+    monkeypatch.setattr(simulate, "_sdr_kernel", level)
+    monkeypatch.setattr(simulate, "_select", checked_select)
+    return calls
+
+
+@pytest.mark.parametrize("boost, shift", [("hete", "none"), ("homo", "w2"), ("none", "none")])
+def test_run_experiment_runs_one_grid_kernel_per_replicate(monkeypatch, boost, shift):
+    # unit weights (no shift) and estimated weights (w2): the level-free
+    # scores take the grid form once per replicate, never the per-level call
+    calls = _kernel_spies(monkeypatch)
+    cfg = _tiny_config(method="sdr", boost=boost, shift=ShiftModel(shift), n=200, m=30,
+                       alpha_grid=(0.3, 0.1, 0.2), setting=DgpSetting(2), risk=canonical_risk(2))
+    run_experiment(cfg)
+    assert calls["grid"] == cfg.reps and calls["level"] == 0
+    assert calls["rows"] == cfg.reps * len(cfg.alpha_grid) and calls["nonzero"] > 0
+
+
+def test_run_experiment_ratio_scores_keep_one_kernel_call_per_level(monkeypatch):
+    calls = _kernel_spies(monkeypatch)
+    cfg = _tiny_config(method="sdr", score_mode="risk_reward_ratio", reward=RewardKind("squared"),
+                       setting=DgpSetting(5), risk=canonical_risk(5), alpha_grid=(0.3, 0.1, 0.2))
+    run_experiment(cfg)
+    assert calls["grid"] == 0 and calls["rows"] == 0
+    assert calls["level"] == cfg.reps * len(cfg.alpha_grid)
