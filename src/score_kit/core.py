@@ -295,8 +295,9 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # (``estimate-weights``): every header column is a distinctly named feature.
 # A column that is read must be named exactly once; extra columns are
 # ignored, and so are blank lines.  Every cell read must be a finite ASCII
-# decimal number without ``_`` digit separators.  Comma-separated, UTF-8,
-# '.' decimal, header required.  Errors name the file and the physical line.
+# decimal number without ``_`` digit separators.  Comma-separated, UTF-8
+# (a leading byte-order mark is skipped), '.' decimal, header required.
+# Errors name the file and the physical line.
 # Output: 17 significant digits, CRLF line ends.
 # ---------------------------------------------------------------------------
 
@@ -339,7 +340,7 @@ def _read_columns(path, required: Sequence[str] | None,
     are parsed in one pass by numpy's text parser, which gives the values
     Python's ``float`` gives.  The file is read once, so a pipe works and a
     bad cell is looked for in the lines that were parsed."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     reader = csv.reader(lines)
     header = next(reader, None)

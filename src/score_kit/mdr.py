@@ -44,6 +44,7 @@ from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _require_unit_weights, _
 
 __all__ = [
     "MdrDecision",
+    "deploy_mask",
     "mdr_decide",
     "weighted_mdr_decide",
     "mdr_evalue",

@@ -38,10 +38,7 @@ The exact kernel takes a grid of levels.  Per test point it makes one
 ``O(n+m)`` pass for the level-free ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)``,
 then ``O(n+m)`` comparisons per level, so a sweep over ``k`` levels costs
 well under ``k`` single-level calls.  The single-level call is that grid at
-one level and keeps its per-point pass.  A loop-free unit-weight form would
-make it several times cheaper, but the benchmark's select-sdr workload
-keeps state per completed operation, so until that workload bounds its
-state a faster op reads as a peak-memory regression (see ROADMAP.md).
+one level and keeps its per-point pass.
 """
 
 from __future__ import annotations
@@ -71,6 +68,8 @@ class SdrEvalueSet:
     ``t_j(0)`` / ``t_j(1)`` at the endpoints of the candidate-risk interval;
     ``nan`` means no pooled score was feasible.  ``evalues[j]`` is zero
     whenever the test score exceeds ``thresholds_at_1[j]``.
+    :func:`sdr_evalues_conservative` fills them with its own cutoffs
+    instead: ``t_tilde`` (shared by every point) and ``t_hat_j``.
     """
 
     evalues: np.ndarray
@@ -246,42 +245,36 @@ def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> 
     return np.unique(np.concatenate([grid, [0.0, 1.0], bp]))
 
 
-def _oracle_sums(batch: ValidatedBatch, j: int):
-    """Point ``j``'s sums at every distinct pooled threshold, by direct
-    comparison (no prefix machinery)."""
-    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
-    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
-    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
-    others = np.delete(batch.test_scores, j)
-    n_other = np.sum(others[None, :] <= thresholds[:, None], axis=1)
-    covers = (batch.test_scores[j] <= thresholds).astype(float)
-    total_w = batch.test_weights[j] + float(np.sum(batch.calib_weights))
-    return thresholds, wl_sum, n_other, covers, total_w
-
-
-def _weighted_sdr_evalue_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
-                                    ell_grid_size: int, ell_set) -> float:
+def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
+                             ell_grid_size: int, ell_set):
+    """Point ``j``'s ``(e-value, t(0), t(1))`` from its sums at every distinct
+    pooled threshold, taken by direct comparison (no prefix machinery)."""
     m = batch.m
     sj = batch.test_scores[j]
     wj = batch.test_weights[j]
-    thresholds, wl_sum, n_other, covers, total_w = _oracle_sums(batch, j)
+    thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
+    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
+    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
+    n_other = np.sum(np.delete(batch.test_scores, j)[None, :] <= thresholds[:, None], axis=1)
+    covers = (sj <= thresholds).astype(float)
+    total_w = wj + float(np.sum(batch.calib_weights))
 
-    breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
-    ells = _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set)
-
-    best = np.inf
-    for ell in ells:
+    def last_feasible(ell) -> int:
         fr = (wj * ell * covers + wl_sum) / (1.0 + n_other) * (m / total_w)
         feasible = np.flatnonzero(fr <= gamma + _BOUNDARY_TOL)
-        if feasible.size == 0:
-            return 0.0
-        t = thresholds[feasible[-1]]
-        if sj > t:
-            return 0.0
-        denom = wj * ell + wl_sum[feasible[-1]]
-        value = total_w / denom if denom > 0.0 else np.inf
-        best = min(best, value)
-    return float(best)
+        return int(feasible[-1]) if feasible.size else -1
+
+    t0, t1 = (float(thresholds[i]) if i >= 0 else np.nan
+              for i in (last_feasible(0.0), last_feasible(1.0)))
+    breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
+    best = np.inf
+    for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
+        i = last_feasible(ell)
+        if i < 0 or sj > thresholds[i]:
+            return 0.0, t0, t1
+        denom = wj * ell + wl_sum[i]
+        best = min(best, total_w / denom if denom > 0.0 else np.inf)
+    return float(best), t0, t1
 
 
 def sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int = 1001,
@@ -306,20 +299,9 @@ def weighted_sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int =
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     batch = validate_batch(calib, tests)
-    ev = np.array([
-        _weighted_sdr_evalue_oracle_one(batch, j, gamma, ell_grid_size, ell_set)
-        for j in range(batch.m)
-    ])
-    t0 = np.array([_oracle_threshold(batch, j, gamma, 0.0) for j in range(batch.m)])
-    t1 = np.array([_oracle_threshold(batch, j, gamma, 1.0) for j in range(batch.m)])
-    return SdrEvalueSet(ev, t0, t1)
-
-
-def _oracle_threshold(batch: ValidatedBatch, j: int, gamma: float, ell: float) -> float:
-    thresholds, wl_sum, n_other, covers, total_w = _oracle_sums(batch, j)
-    fr = (batch.test_weights[j] * ell * covers + wl_sum) / (1.0 + n_other) * (batch.m / total_w)
-    feasible = np.flatnonzero(fr <= gamma + _BOUNDARY_TOL)
-    return float(thresholds[feasible[-1]]) if feasible.size else np.nan
+    rows = [_weighted_sdr_oracle_one(batch, j, gamma, ell_grid_size, ell_set) for j in range(batch.m)]
+    # The reshape keeps three columns when there are no test points.
+    return SdrEvalueSet(*np.array(rows, dtype=float).reshape(batch.m, 3).T.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "InvalidDraws",
     "EmptyInput",
     "SelectionResult",
-    "BoostDraws",
     "ebh",
     "boost_hete",
     "boost_homo",
@@ -62,19 +61,11 @@ class SelectionResult:
     boosted_evalues: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class BoostDraws:
-    """Uniform(0, 1] draws used to boost e-values, one per test point for the
-    heterogeneous variant or a single shared value for the homogeneous one."""
-
-    xis: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.xis) == 0 or any(not (0.0 < x <= 1.0) for x in self.xis):
-            raise InvalidDraws(f"boost draws must lie in (0, 1], got {self.xis!r}")
-
-
-def _check_evalues(evalues) -> np.ndarray:
+def _checked(evalues, alpha: float) -> np.ndarray:
+    """The shared prelude of the e-value filters: check ``alpha``, then the
+    e-values, and return them as a float array."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidAlpha(alpha)
     e = np.asarray(evalues, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise EmptyInput("need a non-empty 1-d collection of e-values")
@@ -102,18 +93,15 @@ def ebh(evalues, alpha: float) -> SelectionResult:
     Selects ``{j : E_j >= m / (alpha * tau_hat)}`` where ``tau_hat`` is the
     largest ``tau`` with at least ``tau`` e-values above ``m / (alpha * tau)``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(alpha)
-    return _step_up(_check_evalues(evalues), alpha)
+    return _step_up(_checked(evalues, alpha), alpha)
 
 
 def boost_hete(evalues, alpha: float, draws) -> SelectionResult:
     """eBH applied to ``E_j / xi_j`` with one independent uniform draw per
-    test point.  Always selects a superset of :func:`ebh` on the same inputs."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(alpha)
-    e = _check_evalues(evalues)
-    xis = np.asarray(draws.xis if isinstance(draws, BoostDraws) else draws, dtype=float)
+    test point (``draws``: ``m`` values in ``(0, 1]``).  Always selects a
+    superset of :func:`ebh` on the same inputs."""
+    e = _checked(evalues, alpha)
+    xis = np.asarray(draws, dtype=float)
     if xis.shape != e.shape:
         raise InvalidDraws(f"need exactly {e.size} draws, got shape {xis.shape}")
     if np.any(~(xis > 0.0)) or np.any(xis > 1.0):
@@ -124,9 +112,7 @@ def boost_hete(evalues, alpha: float, draws) -> SelectionResult:
 
 def boost_homo(evalues, alpha: float, draw: float) -> SelectionResult:
     """eBH applied to ``E_j / xi`` with a single shared uniform draw."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(alpha)
-    e = _check_evalues(evalues)
+    e = _checked(evalues, alpha)
     if not (0.0 < draw <= 1.0):
         raise InvalidDraws(f"draw must lie in (0, 1], got {draw!r}")
     boosted = e / draw
@@ -155,8 +141,9 @@ def bh(pvalues, alpha: float) -> SelectionResult:
     """Benjamini-Hochberg step-up filter at level ``alpha``.
 
     Selects the ``k*`` smallest p-values where ``k*`` is the largest ``k``
-    with ``p_(k) <= alpha * k / m``; ties at the cutoff are broken by stable
-    index order.
+    with ``p_(k) <= alpha * k / m``: exactly the p-values at or below the
+    cutoff ``alpha * k* / m``.  No tie straddles the cutoff, since every
+    p-value ranked after ``k*`` exceeds ``alpha * (k* + 1) / m``.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(alpha)
@@ -172,6 +159,5 @@ def bh(pvalues, alpha: float) -> SelectionResult:
     if k_star == 0:
         return SelectionResult(frozenset(), 0, np.inf)
     cutoff = alpha * k_star / m
-    order = np.argsort(p, kind="stable")
-    selected = frozenset(int(j) for j in order[:k_star] if p[j] <= cutoff)
+    selected = frozenset(int(j) for j in np.flatnonzero(p <= cutoff))
     return SelectionResult(selected, k_star, float(cutoff))

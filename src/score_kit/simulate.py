@@ -11,8 +11,8 @@ marginal/selective risk, reward, and selection counts per target level.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from typing import Callable, Iterable
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "compute_metrics",
     "run_experiment",
     "write_metrics_csv",
-    "METRICS_COLUMNS",
 ]
 
 
@@ -66,19 +65,16 @@ class DimensionMismatch(ScoreKitError):
 
 @dataclass(frozen=True)
 class DgpSetting:
-    """One of the six synthetic data generating processes."""
+    """One of the six synthetic data generating processes: covariates in
+    ``dim`` dimensions, noise scale ``sigma``."""
 
     id: int
-    sigma: float = 0.1
-    dim: int = 20
+    sigma: ClassVar[float] = 0.1
+    dim: ClassVar[int] = 20
 
     def __post_init__(self) -> None:
         if self.id not in (1, 2, 3, 4, 5, 6):
             raise UnknownSetting(self.id)
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if self.dim < 4:
-            raise ValueError("need dim >= 4; the regression surfaces read x1..x4")
 
 
 @dataclass(frozen=True)
@@ -352,8 +348,7 @@ class MetricsRow:
     tdr: float
 
 
-METRICS_COLUMNS = ("alpha", "method", "boost", "score_mode", "setting", "risk",
-                   "shift", "realized_risk", "se_risk", "mean_reward", "mean_nsel", "tdr")
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def _replicate(config: ExperimentConfig, rng: np.random.Generator):

@@ -307,6 +307,24 @@ def test_estimate_weights_skips_blank_lines(tmp_path):
     assert len(_read_rows(out)) == 2
 
 
+def test_utf8_bom_led_inputs_read_like_plain_ones(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    calib_text = b"score,risk\n0.1,0.0\n0.3,0.0\n0.9,0.5\n"
+    features = b"x1,x2\n0.1,0.2\n0.3,0.4\n0.5,0.1\n"
+    test = _write(tmp_path / "test.csv", "score\n0.2\n0.4\n0.8\n")
+    outputs = {}
+    for tag, lead in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        calib, src = tmp_path / f"calib_{tag}.csv", tmp_path / f"src_{tag}.csv"
+        calib.write_bytes(lead + calib_text)
+        src.write_bytes(lead + features)
+        sel, w = str(tmp_path / f"sel_{tag}.csv"), str(tmp_path / f"w_{tag}.csv")
+        assert main(["select", str(calib), test, "--method", "sdr", "--alpha", "0.5",
+                     "--out", sel]) == 0
+        assert main(["estimate-weights", str(src), str(src), "--out", w]) == 0
+        outputs[tag] = Path(sel).read_bytes(), Path(w).read_bytes()
+    assert outputs["bom"] == outputs["plain"]
+
+
 def test_estimate_weights_header_only_is_data_error(tmp_path, capsys):
     src = _write(tmp_path / "src.csv", "x1,x2\n")
     tgt = _write(tmp_path / "tgt.csv", "x1,x2\n0.1,0.2\n")

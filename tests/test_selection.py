@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from score_kit import (BoostDraws, EmptyInput, InvalidAlpha, InvalidDraws, bh,
-                       boost_hete, boost_homo, conformal_pvalues, ebh, mdr_evalue)
+from score_kit import (EmptyInput, InvalidAlpha, InvalidDraws, bh, boost_hete, boost_homo,
+                       conformal_pvalues, ebh, mdr_evalue)
 from helpers import exchangeable_pairs, mc_bound_ok, random_mdr_instance, thresholded
 
 
@@ -115,7 +115,7 @@ def test_boost_errors():
     with pytest.raises(InvalidDraws):
         boost_homo([1.0], 0.5, 0.0)
     with pytest.raises(InvalidDraws):
-        BoostDraws(xis=(0.5, 0.0))
+        boost_hete([1.0, 2.0], 0.5, [0.5, 0.0])
 
 
 def test_mdr_boosting_is_noop():
@@ -179,6 +179,11 @@ def test_bh_worked_example():
     res = bh([0.01, 0.04, 0.9], alpha=0.1)
     assert res.tau == 2
     assert res.selected == {0, 1}
+    # Three p-values tie exactly at the cutoff 0.5 * 3 / 4: the whole group
+    # is selected.
+    res = bh([0.375, 0.75, 0.375, 0.375], alpha=0.5)
+    assert res.tau == 3 and res.threshold == 0.375
+    assert res.selected == {0, 2, 3}
 
 
 def test_bh_extremes():
