@@ -107,16 +107,17 @@ def _cmd_select(args) -> int:
         return 0
 
     ev = _compute_evalues(args, batch, gamma)
-    if args.boost == "none":
-        result = ebh(ev, args.alpha)
-    else:
-        rng = np.random.default_rng(_resolve_seed(args.seed))
-        if args.boost == "hete":
-            result = boost_hete(ev, args.alpha, 1.0 - rng.uniform(size=batch.m))
-        else:
-            result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
     selected = np.zeros(batch.m, dtype=int)
-    selected[list(result.selected)] = 1
+    if batch.m:                 # no test points: nothing to select, no draws
+        if args.boost == "none":
+            result = ebh(ev, args.alpha)
+        else:
+            rng = np.random.default_rng(_resolve_seed(args.seed))
+            if args.boost == "hete":
+                result = boost_hete(ev, args.alpha, 1.0 - rng.uniform(size=batch.m))
+            else:
+                result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
+        selected[list(result.selected)] = 1
     _write_csv(args.out or sys.stdout, ["index", "score", "evalue", "selected"],
                "%d,%.17g,%.17g,%d", zip(index, scores, ev.tolist(), selected.tolist()))
     return 0

@@ -182,7 +182,7 @@ class ValidatedBatch:
 
     @property
     def has_unit_weights(self) -> bool:
-        return bool(np.all(self.calib_weights == 1.0) and np.all(self.test_weights == 1.0))
+        return bool((self.calib_weights == 1.0).all() and (self.test_weights == 1.0).all())
 
 
 def _column(rows: np.ndarray, name: str) -> np.ndarray:
@@ -245,8 +245,10 @@ def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, n
     "score <= threshold": O((n + q) log n) time and O(n + q) memory for q
     thresholds, with no q-by-n comparison matrix.
     """
-    order = np.argsort(keys, kind="stable")
-    return keys[order], np.concatenate([[0.0], np.cumsum(contrib[order])])
+    order = keys.argsort(kind="stable")
+    prefix0 = np.zeros(keys.size + 1)
+    contrib[order].cumsum(out=prefix0[1:])
+    return keys[order], prefix0
 
 
 def validate_batch(calib, tests=None) -> ValidatedBatch:

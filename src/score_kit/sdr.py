@@ -24,21 +24,27 @@ every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 
 Three readers of one pooled prefix over the score-sorted data, each in
 ``O(n+m)`` memory: :func:`sdr_evalues` / :func:`weighted_sdr_evalues`
-compute the infimum exactly in ``O((n+m) m + (n+m) log(n+m))`` time as a
-minimum over the pooled thresholds between ``t_j(1)`` and ``t_j(0)`` that
-are feasible at ``ell = 0`` (exact in floating point; see
-``_sdr_kernel_grid``); :func:`sdr_evalues_at` evaluates the objective at one
-fixed ``ell`` and :func:`sdr_evalues_conservative` (simpler, slightly
-conservative) avoids the infimum, both in ``O((n+m) log(n+m))`` time and for
-unit weights only.  The brute-force oracles :func:`sdr_evalues_oracle` /
-:func:`weighted_sdr_evalues_oracle` are deliberately separate; they build
-threshold-by-n comparison matrices and are meant for small instances.
+compute the infimum exactly as a minimum over the pooled thresholds between
+``t_j(1)`` and ``t_j(0)`` that are feasible at ``ell = 0`` (exact in floating
+point; see ``_sdr_kernel_grid``); :func:`sdr_evalues_at` evaluates the
+objective at one fixed ``ell`` and :func:`sdr_evalues_conservative`
+(simpler, slightly conservative) avoids the infimum, both in ``O((n+m)
+log(n+m))`` time and for unit weights only.  The brute-force oracles
+:func:`sdr_evalues_oracle` / :func:`weighted_sdr_evalues_oracle` are
+deliberately separate; they build threshold-by-n comparison matrices and are
+meant for small instances.
 
-The exact kernel takes a grid of levels.  Per test point it makes one
-``O(n+m)`` pass for the level-free ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)``,
-then ``O(n+m)`` comparisons per level, so a sweep over ``k`` levels costs
-well under ``k`` single-level calls.  The single-level call is that grid at
-one level and keeps its per-point pass.
+The exact kernel takes a grid of levels and has two paths with the same
+bits.  Non-unit weights find every point's ``t_j(0)`` at once: on thresholds
+at or above ``s_j`` the ``ell = 0`` ratio is ``fl(r * f_j)``, with a key
+``r`` that does not depend on ``j`` and ``f_j = m / (w_j + sum_i w_i)``, and
+``fl(x * f)`` is monotone in ``x``, so one ``searchsorted`` over the running
+minimum of ``r`` serves all points.  Only the points whose ``t_j(1)`` lies
+below ``t_j(0)`` scan a slice, from ``t_j(0)`` down to ``s_j``, so a level
+costs ``O((n+m) log(n+m))`` plus those slices.  Unit weights keep one
+``O(n+m)`` pass per point, which computes the level-free ratios once and
+then makes ``O(n+m)`` comparisons per level (see ``_sdr_kernel_grid`` for
+why).
 """
 
 from __future__ import annotations
@@ -94,11 +100,11 @@ def _pooled_prefix(batch: ValidatedBatch):
     """``(vals, A, ntest)``: the pooled scores in ascending order, the weighted
     calibration risk over scores ``<= vals[i]`` and the (float) count of test
     scores ``<= vals[i]``.  Ties share ``A`` and ``ntest``."""
-    vals, prefix0 = _sorted_prefix(np.concatenate([batch.calib_scores, batch.test_scores]),
-                                   np.concatenate([batch.calib_weights * batch.calib_risks,
-                                                   np.zeros(batch.m)]))
-    A = prefix0[np.searchsorted(vals, vals, side="right")]
-    ntest = np.searchsorted(np.sort(batch.test_scores), vals, side="right").astype(float)
+    contrib = np.zeros(batch.n + batch.m)       # tests add no calibration risk
+    np.multiply(batch.calib_weights, batch.calib_risks, out=contrib[:batch.n])
+    vals, prefix0 = _sorted_prefix(np.concatenate((batch.calib_scores, batch.test_scores)), contrib)
+    A = prefix0[vals.searchsorted(vals, side="right")]
+    ntest = np.sort(batch.test_scores).searchsorted(vals, side="right").astype(float)
     return vals, A, ntest
 
 
@@ -116,16 +122,16 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     monotone under rounding.  The ``t(0) == t(1)`` shortcut is kept on
     purpose: it uses ``ell = 1`` exactly, not a rounded ``ell_bar``.
 
-    The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
-    so each point computes them once, in ``O(n+m)``, on descending copies of
-    the pooled prefix.  Each level then costs ``O(n+m)`` comparisons per
-    point: on the descending copy the first True of a feasibility mask is the
-    largest feasible threshold, which ``argmax`` returns (and a False there
-    means no threshold is feasible).  Rounding keeps ``FR_j(t; 1) >=
-    FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)`` down, and the
-    breakpoint window is a slice of the ``ell = 0`` mask.  Every value is the
-    same float expression as in a one-level pass, so a grid gives the bits of
-    one call per level.
+    Both paths evaluate every ratio with the same float expressions, so they
+    give the same bits, and a grid gives the bits of one call per level.
+    Non-unit weights take :func:`_keyed_grid`: ``O((n+m) log(n+m))`` per
+    level, plus a slice for each point whose ``t(1)`` lies below ``t(0)``.
+    Unit weights, and any grid with a subnormal level, take
+    :func:`_pointwise_grid`, ``O(n+m)`` per point and level.  With unit
+    weights every point shares the factor ``m / (n + 1)``, so the thresholds
+    collapse further, onto the rule of :func:`_own_term_threshold`; a
+    loop-free kernel built on that rule would replace the loop, which
+    meanwhile is the reference the keyed path is tested against.
 
     Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
     ``nan`` marking absent thresholds.
@@ -134,14 +140,44 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     for gamma in gammas:
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
-    m, size = batch.m, batch.n + batch.m
+    # A subnormal level's rounding gap spans many ulps of gamma / f_j, which
+    # _ratio_bounds does not search.
+    keyed = not batch.has_unit_weights and all(gamma >= _SMALLEST_NORMAL for gamma in gammas)
+    return (_keyed_grid if keyed else _pointwise_grid)(batch, gammas)
+
+
+def _descending_prefix(batch: ValidatedBatch):
+    """``(vals, desc_vals, desc_A, desc_ntest)``: the pooled prefix, the last
+    three in descending score order, where the first True of a feasibility
+    mask is the largest feasible threshold."""
     vals, A, ntest = _pooled_prefix(batch)
-    desc_vals, desc_A, desc_den = vals[::-1].copy(), A[::-1].copy(), (1.0 + ntest)[::-1].copy()
+    return vals, vals[::-1].copy(), A[::-1].copy(), ntest[::-1].copy()
+
+
+def _grid_outputs(levels: int, m: int):
+    """``(evalues, t0, t1)`` of shape ``(levels, m)``: zero e-values, and
+    ``nan`` thresholds until a feasible one is found."""
+    thresholds = np.empty((2, levels, m))
+    thresholds.fill(np.nan)
+    return np.zeros((levels, m)), thresholds[0], thresholds[1]
+
+
+def _pointwise_grid(batch: ValidatedBatch, gammas: tuple):
+    """The kernel as one ``O(n+m)`` pass per test point.
+
+    The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
+    so each point computes them once.  Each level then costs ``O(n+m)``
+    comparisons per point: ``argmax`` returns the first True of a mask (and a
+    False there means no threshold is feasible).  Rounding keeps ``FR_j(t; 1)
+    >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)`` down, and the
+    breakpoint window is a slice of the ``ell = 0`` mask.
+    """
+    m, size = batch.m, batch.n + batch.m
+    vals, desc_vals, desc_A, desc_ntest = _descending_prefix(batch)
+    desc_den = 1.0 + desc_ntest
     calib_wsum = float(np.sum(batch.calib_weights))
 
-    evalues = np.zeros((len(gammas), m))
-    t0_arr = np.full((len(gammas), m), np.nan)
-    t1_arr = np.full((len(gammas), m), np.nan)
+    evalues, t0_arr, t1_arr = _grid_outputs(len(gammas), m)
 
     for j in range(m):
         sj = batch.test_scores[j]
@@ -178,6 +214,121 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
             ell_bar = (gamma * total_w * denom[win] / m - desc_A[win]) / wj
             largest = np.max(wj * np.clip(ell_bar, 0.0, 1.0) + desc_A[win])
             evalues[g, j] = total_w / largest if largest > 0.0 else np.inf
+
+    return evalues, t0_arr, t1_arr
+
+
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
+
+
+def _ratio_bounds(gamma: float, factor: np.ndarray) -> np.ndarray:
+    """Per ``f`` in ``factor``, the largest double ``x`` with ``fl(x * f) <=
+    gamma``, for a normal ``gamma``.  Rounding keeps ``fl(x * f)`` monotone in
+    ``x``, so ``fl(x * f) <= gamma`` exactly when ``x`` is at most this
+    bound.  ``gamma / f`` rounds to one of the two doubles around the real
+    quotient: the one below always fits, and the rounding gap above ``gamma``
+    is under one ulp of the quotient, so no double beyond the one above
+    does."""
+    x = gamma / factor
+    # Positive doubles order like their int64 bit patterns, so -1 / +1 on the
+    # bits steps to the neighbouring double.
+    bits = x.view(np.int64) - (x * factor > gamma)
+    return (bits + ((bits + 1).view(np.float64) * factor <= gamma)).view(np.float64)
+
+
+def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per point, the first position ``>= start[j]`` with ``q <= bound[j]``;
+    ``q`` ends in a ``-inf`` sentinel, which stands for "none".  The answer
+    lies between the first such position for ``max(bound)`` and the first for
+    ``min(bound)``, so only a point whose bracket stays open is scanned."""
+    def first(level):
+        at = (q <= level).nonzero()[0]
+        return at[at.searchsorted(start)]
+
+    found = first(bound.max())
+    open_ = (q[found] > bound).nonzero()[0]
+    if open_.size:
+        last = first(bound.min())
+        for j, a, b in zip(open_.tolist(), found[open_].tolist(), last[open_].tolist()):
+            inside = (q[a + 1:b] <= bound[j]).nonzero()[0]
+            found[j] = a + 1 + inside[0] if inside.size else b
+    return found
+
+
+def _keyed_grid(batch: ValidatedBatch, gammas: tuple):
+    """The kernel with ``t(0)`` found for every point from keys free of j.
+
+    Point ``j`` covers the first ``K_j = size - first_j`` descending
+    positions, where ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A / (den -
+    1)`` and ``f_j = m / total_w``; below ``s_j`` both ratios are ``fl(q *
+    f_j)`` with ``q = A / den``.  Neither ``r`` nor ``q`` depends on ``j``,
+    and ``fl(x * f_j)`` is monotone in ``x``, so a position is feasible at
+    ``ell = 0`` exactly when its key is at most ``R_j``, the largest double
+    with ``fl(R_j * f_j) <= gamma`` (:func:`_ratio_bounds`).  Per level:
+
+    * ``t(0)``'s position ``i0`` is one ``searchsorted`` of ``R`` on the
+      running minimum of ``r``, kept when it lies below ``K_j``;
+    * where ``ell = 1`` is feasible at ``i0`` too, ``t(1) = t(0)`` and the
+      e-value is ``total_w / (w_j + A[i0])``, for all such points at once;
+    * every other covered point scans ``[i0, K_j)`` for ``t(1)`` and takes
+      the window max from that slice;
+    * a point with no feasible covered threshold at ``ell = 0`` or ``1``
+      gets e-value 0 and takes the first position from ``K_j`` on with ``q <=
+      R_j`` (:func:`_first_at_most`), where both ratios agree.
+
+    Every ratio is the float expression of :func:`_pointwise_grid`, so the
+    bits are the same, in ``O((n+m) log(n+m))`` per level plus the scans.
+    Memory is ``O(n+m)``.
+    """
+    m, size = batch.m, batch.n + batch.m
+    evalues, t0_arr, t1_arr = _grid_outputs(len(gammas), m)
+    if m == 0:
+        return evalues, t0_arr, t1_arr
+
+    vals, desc_vals, desc_A, cden = _descending_prefix(batch)   # cden: den - 1 = ntest
+    w = batch.test_weights
+    total_w = float(batch.calib_weights.sum()) + w
+    factor = m / total_w
+    K = size - vals.searchsorted(batch.test_scores, side="left")
+    last = K - 1                                 # the last position point j covers
+    kmax = int(K.max())                          # positions no point covers are left out
+    r = desc_A[:kmax] / cden[:kmax]
+    neg_min_r = -np.minimum.accumulate(r)        # nondecreasing
+
+    for g, gamma in enumerate(gammas):
+        R = _ratio_bounds(gamma, factor)
+        i0 = neg_min_r.searchsorted(-R)          # the first r <= R
+        hit = i0 < K
+        late = ~hit                              # t(1) lies below s_j
+        if hit.any():
+            p = np.minimum(i0, last)             # i0 where hit, a covered stand-in elsewhere
+            A0 = desc_A[p]
+            one = hit & ((A0 + w) / cden[p] * factor <= gamma)
+            np.copyto(t0_arr[g], desc_vals[p], where=hit)
+            np.copyto(t1_arr[g], t0_arr[g], where=one)
+            np.copyto(evalues[g], total_w / (w + A0), where=one)
+            for j in (hit > one).nonzero()[0].tolist():
+                i0j, kj, wj, total = p.item(j), K.item(j), w.item(j), total_w.item(j)
+                feas1 = (desc_A[i0j:kj] + wj) / cden[i0j:kj] * factor.item(j) <= gamma
+                i1 = feas1.argmax()
+                if not feas1[i1]:
+                    late[j] = True
+                    continue
+                # i1 > 0 here, so t(1) < t(0): tied positions share every ratio.
+                t1 = t1_arr[g, j] = desc_vals[i0j + i1]
+                end = size - vals.searchsorted(t1, side="left")   # past t(1)'s tie group
+                win = i0j + (r[i0j:end] <= R.item(j)).nonzero()[0]
+                ell_bar = (gamma * total * cden[win] / m - desc_A[win]) / wj
+                largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
+                evalues[g, j] = total / largest if largest > 0.0 else np.inf
+
+        if late.any():
+            # Below s_j both ratios are fl(q * f_j); the sentinel means none.
+            late = late.nonzero()[0]
+            q = np.concatenate((desc_A / (1.0 + cden), (-np.inf,)))
+            below = _first_at_most(q, K[late], R[late])
+            t1_arr[g, late] = np.concatenate((desc_vals, (np.nan,)))[below]
+            np.copyto(t0_arr[g], t1_arr[g], where=~hit)
 
     return evalues, t0_arr, t1_arr
 
@@ -364,10 +515,11 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     thresholds, risk_sum, test_count = _pooled_prefix(batch)
 
     def feasible(numerator: np.ndarray) -> np.ndarray:
+        # With no test points the factor is 0 and inf * 0 is nan: infeasible.
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
                              np.where(numerator > 0, np.inf, 0.0))
-        return ratio * (m / (n + 1.0)) <= alpha
+            return ratio * (m / (n + 1.0)) <= alpha
 
     plain = feasible(risk_sum)
     hat, covered = _own_term_threshold(thresholds, batch.test_scores, plain, feasible(risk_sum + 1.0))

@@ -423,3 +423,27 @@ def test_perfbench_spans_resolve():
         attr = name.split(".", 1)[1]
         for module in modules:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["evalues", "--gamma", "0.2", "--weighted"], "index,score,evalue"),
+    (["evalues", "--gamma", "0.2"], "index,score,evalue"),
+    (["evalues", "--conservative", "--alpha", "0.2"], "index,score,evalue"),
+    (["select", "--method", "mdr", "--alpha", "0.2", "--weighted"], "index,score,deploy"),
+    (["select", "--method", "sdr", "--alpha", "0.2"], "index,score,evalue,selected"),
+    (["select", "--method", "sdr", "--alpha", "0.2", "--weighted"], "index,score,evalue,selected"),
+    (["select", "--method", "sdr", "--alpha", "0.2", "--boost", "hete"], "index,score,evalue,selected"),
+    (["select", "--method", "sdr", "--alpha", "0.2", "--weighted", "--boost", "homo"],
+     "index,score,evalue,selected"),
+    (["select", "--method", "sdr", "--alpha", "0.2", "--conservative"], "index,score,evalue,selected"),
+], ids=["evalues-weighted", "evalues", "evalues-conservative", "mdr-weighted", "sdr", "sdr-weighted",
+        "sdr-hete", "sdr-weighted-homo", "sdr-conservative"])
+def test_header_only_test_file_gives_a_header_only_csv(tmp_path, capsys, argv, header):
+    # no test points: exit 0, the header alone, nothing on stderr (no
+    # warning, and no seed, since no draw is made)
+    calib = _write(tmp_path / "calib.csv", "score,risk,weight\n0.1,0.2,2.0\n0.5,0.5,1.0\n")
+    test = _write(tmp_path / "test.csv", "score,weight\n")
+    assert main([argv[0], calib, test, *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == header + "\r\n"
+    assert captured.err == ""

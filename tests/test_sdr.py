@@ -3,6 +3,7 @@
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,12 +89,16 @@ KERNEL_GAMMAS = (0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 0.7, 0.75, 1.0, 2.0)
 
 def _kernel_instance(rng, k):
     """Even ``k``: tied integer or 0.1-grid scores, risks in halves, quarters
-    or tenths, unit or quarter-dyadic weights.  Odd ``k``: continuous scores,
-    risks and weights."""
+    or tenths, unit or quarter-dyadic weights.  Odd ``k``: continuous scores
+    and risks, with weights uniform on [0.2, 5] or ``exp(0.5 * N(0, 1))`` (the
+    benchmark's weights)."""
     n, m = int(rng.integers(1, 31)), int(rng.integers(1, 13))
     if k % 2:
         cs, ts, risks = rng.normal(size=n), rng.normal(size=m), rng.uniform(size=n)
-        wc, wt = rng.uniform(0.2, 5.0, size=n), rng.uniform(0.2, 5.0, size=m)
+        if k % 4 == 1:
+            wc, wt = rng.uniform(0.2, 5.0, size=n), rng.uniform(0.2, 5.0, size=m)
+        else:
+            wc, wt = np.exp(0.5 * rng.standard_normal(n)), np.exp(0.5 * rng.standard_normal(m))
     else:
         scale = (1, 10)[k % 4 // 2]
         cs, ts = rng.integers(0, 6 * scale, size=n) / scale, rng.integers(0, 6 * scale, size=m) / scale
@@ -189,6 +194,80 @@ def test_kernel_grid_one_ulp_cases(case):
     grid = _sdr_kernel_grid(batch, gammas)
     for got, want in zip((a[case] for a in grid), attained_breakpoint_sdr_kernel(calib, tests, gamma)):
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("weights", ["unit", "non-unit"])
+def test_keyed_kernel_equals_the_pointwise_loop(weights):
+    # Non-unit weights take the keyed path and unit weights the loop; on
+    # either kind of instance the two give the same bits, so the loop can
+    # retire once the unit-weight kernel is loop-free.
+    rng = np.random.default_rng(44)
+    checked = windowed = 0
+    for k in range(1600):
+        calib, tests = _kernel_instance(rng, k)
+        if weights == "unit":
+            calib, tests = [c[:2] for c in calib], [t[0] for t in tests]
+        batch = validate_batch(calib, tests)
+        if batch.has_unit_weights != (weights == "unit"):
+            continue
+        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2))
+        want = sdr_module._pointwise_grid(batch, gammas)
+        for got, ref in zip(sdr_module._keyed_grid(batch, gammas), want):
+            assert np.array_equal(got, ref, equal_nan=True), (calib, tests, gammas)
+        checked += 1
+        windowed += bool(np.any((want[0] > 0.0) & (want[1] != want[2])))
+    assert checked >= 1000 and windowed >= 300, (checked, windowed)
+
+
+def test_kernel_takes_the_keyed_path_for_non_unit_weights_only(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(sdr_module, name)
+
+        def path(batch, gammas):
+            calls.append(name)
+            return real(batch, gammas)
+        return path
+
+    for name in ("_pointwise_grid", "_keyed_grid"):
+        monkeypatch.setattr(sdr_module, name, spy(name))
+    weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [0.05, 0.3], 0.3)
+    weighted_sdr_evalues([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0), (0.3, 1.0)], 0.3)
+    weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [(0.05, 1.0), (0.3, 0.5)], 0.3)
+    # a subnormal level anywhere in the grid sends it through the loop
+    _sdr_kernel_grid(validate_batch([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)]), (0.3, 5e-324))
+    assert calls == ["_pointwise_grid", "_keyed_grid", "_keyed_grid", "_pointwise_grid"]
+
+
+def test_ratio_bounds_are_the_largest_fitting_doubles():
+    # fl(x * f) <= gamma exactly for x up to the bound: the bound fits and the
+    # next double does not, at ordinary and extreme normal levels
+    rng = np.random.default_rng(45)
+    factor = np.concatenate([rng.uniform(1e-3, 3.0, size=2000), 10.0 ** rng.uniform(-300, 300, size=500),
+                             [0.1, 0.2, 0.5, 1.0, 3.0]])
+    for gamma in (0.1, 0.2, 1 / 3, 0.3, 1.0, 2.0, 1e-300, 2.5e-308, 1e5):
+        bound = sdr_module._ratio_bounds(gamma, factor)
+        assert np.all(bound * factor <= gamma), gamma
+        assert not np.any(np.nextafter(bound, np.inf) * factor <= gamma), gamma
+
+
+@pytest.mark.parametrize("calib", [[(0.1, 0.2), (0.5, 0.5)], [(0.1, 0.2, 2.0), (0.5, 0.5, 1.0)]],
+                         ids=["unit", "non-unit"])
+def test_kernel_with_no_test_points_returns_empty_arrays(calib):
+    batch = validate_batch(calib, [])
+    res = weighted_sdr_evalues(batch, None, 0.2)
+    for a in (res.evalues, res.thresholds_at_0, res.thresholds_at_1):
+        assert a.shape == (0,)
+    for a in _sdr_kernel_grid(batch, (0.1, 0.2, 0.3)):
+        assert a.shape == (3, 0)
+
+
+def test_conservative_with_no_test_points_is_empty_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sdr_evalues_conservative([(0.1, 0.2), (0.5, 0.5)], [], alpha=0.2)
+    assert res.evalues.shape == res.thresholds_at_1.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, float("nan")])
