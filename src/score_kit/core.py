@@ -154,6 +154,15 @@ def unrescale(value: float, r: RiskRescaler) -> float:
     return r.lo + value * (r.hi - r.lo)
 
 
+def _freeze_views(obj, names) -> None:
+    """Hold each named array field of the frozen dataclass ``obj`` as a
+    read-only view: the caller's own arrays stay writeable."""
+    for name in names:
+        view = getattr(obj, name).view()
+        view.flags.writeable = False
+        object.__setattr__(obj, name, view)
+
+
 @dataclass(frozen=True)
 class ValidatedBatch:
     """A validated calibration/test batch held as read-only float arrays."""
@@ -165,12 +174,8 @@ class ValidatedBatch:
     test_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        # Freeze private views: the caller's own arrays stay writeable.
-        for name in ("calib_scores", "calib_risks", "calib_weights",
-                     "test_scores", "test_weights"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        _freeze_views(self, ("calib_scores", "calib_risks", "calib_weights",
+                             "test_scores", "test_weights"))
 
     @property
     def n(self) -> int:
@@ -182,7 +187,8 @@ class ValidatedBatch:
 
     @property
     def has_unit_weights(self) -> bool:
-        return bool((self.calib_weights == 1.0).all() and (self.test_weights == 1.0).all())
+        return not (np.count_nonzero(self.calib_weights != 1.0)
+                    or np.count_nonzero(self.test_weights != 1.0))
 
 
 def _column(rows: np.ndarray, name: str) -> np.ndarray:
@@ -224,7 +230,7 @@ def _as_test_arrays(tests: Iterable) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(item, TestPoint):
             scores.append(item.score)
             weights.append(item.weight)
-        elif np.isscalar(item):
+        elif np.isscalar(item) or getattr(item, "ndim", None) == 0:   # 0-d arrays too
             scores.append(float(item))
             weights.append(1.0)
         else:

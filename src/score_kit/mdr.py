@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Levels, TestPoint, ValidatedBatch, _sorted_prefix, validate_batch
+from .core import Levels, ValidatedBatch, _sorted_prefix, validate_batch
 from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _require_unit_weights, _sdr_kernel
 
 __all__ = [
@@ -72,8 +72,7 @@ class MdrDecision:
 def _single_point_batch(calib, test) -> ValidatedBatch:
     if isinstance(calib, ValidatedBatch):
         raise ValueError("pass raw calibration samples together with one test point")
-    tests = [test if isinstance(test, TestPoint) else float(test)]
-    return validate_batch(calib, tests)
+    return validate_batch(calib, [test])
 
 
 def _no_crossing(test_weights: np.ndarray, levels: Levels, sorted_scores: np.ndarray,

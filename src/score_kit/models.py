@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreKitError
+from .core import ScoreKitError, _freeze_views
 
 __all__ = [
     "KTooLarge",
@@ -43,11 +43,7 @@ class KnnRegressor:
     k: int
 
     def __post_init__(self) -> None:
-        # Freeze private views: the caller's own arrays stay writeable.
-        for name in ("train_x", "train_y"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        _freeze_views(self, ("train_x", "train_y"))
 
 
 def knn_fit(train_x, train_y, k: int) -> KnnRegressor:
@@ -111,8 +107,7 @@ class LogisticWeightModel:
     final_loss: float
 
     def __post_init__(self) -> None:
-        for a in (self.coef, self.feat_mean, self.feat_std):
-            a.flags.writeable = False
+        _freeze_views(self, ("coef", "feat_mean", "feat_std"))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

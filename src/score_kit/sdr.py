@@ -34,17 +34,19 @@ log(n+m))`` time and for unit weights only.  The brute-force oracles
 deliberately separate; they build threshold-by-n comparison matrices and are
 meant for small instances.
 
-The exact kernel takes a grid of levels and has two paths with the same
-bits.  Non-unit weights find every point's ``t_j(0)`` at once: on thresholds
-at or above ``s_j`` the ``ell = 0`` ratio is ``fl(r * f_j)``, with a key
-``r`` that does not depend on ``j`` and ``f_j = m / (w_j + sum_i w_i)``, and
-``fl(x * f)`` is monotone in ``x``, so one ``searchsorted`` over the running
-minimum of ``r`` serves all points.  Only the points whose ``t_j(1)`` lies
-below ``t_j(0)`` scan a slice, from ``t_j(0)`` down to ``s_j``, so a level
-costs ``O((n+m) log(n+m))`` plus those slices.  Unit weights keep one
-``O(n+m)`` pass per point, which computes the level-free ratios once and
-then makes ``O(n+m)`` comparisons per level (see ``_sdr_kernel_grid`` for
-why).
+The exact kernel takes a grid of levels, locates ``t_j(0)`` and ``t_j(1)``
+for every point and level, and then finishes every path with one rule: the
+``t_j(0) == t_j(1)`` shortcut at ``ell = 1`` and otherwise the minimum over
+the window between them.  Only the locators differ, and they give the same
+positions.  Non-unit weights find every point's ``t_j(0)`` at once: on
+thresholds at or above ``s_j`` the ``ell = 0`` ratio is ``fl(r * f_j)``,
+with a key ``r`` that does not depend on ``j`` and ``f_j = m / (w_j + sum_i
+w_i)``, and ``fl(x * f)`` is monotone in ``x``, so one ``searchsorted`` over
+the running minimum of ``r`` serves all points; a level costs ``O((n+m)
+log(n+m))`` plus a slice per point whose ``t_j(1)`` lies below ``t_j(0)``.
+Unit weights keep one ``O(n+m)`` pass per point, which computes the
+level-free ratios once and then makes ``O(n+m)`` comparisons per level (see
+``_sdr_kernel_grid`` for why).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidatedBatch, _sorted_prefix, validate_batch
+from .core import ValidatedBatch, _freeze_views, _sorted_prefix, validate_batch
 
 __all__ = [
     "SdrEvalueSet",
@@ -83,8 +85,7 @@ class SdrEvalueSet:
     thresholds_at_1: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.evalues, self.thresholds_at_0, self.thresholds_at_1):
-            a.flags.writeable = False
+        _freeze_views(self, ("evalues", "thresholds_at_0", "thresholds_at_1"))
 
 
 def _require_unit_weights(batch: ValidatedBatch, name: str, weighted: str | None = None) -> None:
@@ -113,25 +114,32 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     and weighted paths (unit weights recover the exchangeable formulas).
 
     Per test point, ``t(0) >= t(1)`` are the largest thresholds feasible at
-    ``ell = 0`` and ``ell = 1``.  The e-value is ``total_w / largest`` with
-    ``largest = max(w_j * clip(ell_bar, 0, 1) + A)`` over the ``ell = 0``
-    feasible thresholds from ``t(1)``'s tie group to ``t(0)``, where
+    ``ell = 0`` and ``ell = 1``.  A locator finds them; one finishing step
+    then turns them into e-values, whatever the weights.  A point whose score
+    exceeds ``t(1)`` gets 0.  Otherwise the e-value is ``total_w / largest``
+    with ``largest = max(w_j * clip(ell_bar, 0, 1) + A)`` over the ``ell =
+    0`` feasible thresholds from ``t(1)``'s tie group to ``t(0)``, where
     ``ell_bar`` solves ``FR_j(t; ell) = gamma``.  Thresholds that no ``ell``
     attains are harmless: each has a larger feasible one with a larger
     ``ell_bar``, and clip, ``w_j * x``, ``+ A`` and ``total_w / x`` are
     monotone under rounding.  The ``t(0) == t(1)`` shortcut is kept on
     purpose: it uses ``ell = 1`` exactly, not a rounded ``ell_bar``.
 
-    Both paths evaluate every ratio with the same float expressions, so they
-    give the same bits, and a grid gives the bits of one call per level.
-    Non-unit weights take :func:`_keyed_grid`: ``O((n+m) log(n+m))`` per
-    level, plus a slice for each point whose ``t(1)`` lies below ``t(0)``.
-    Unit weights, and any grid with a subnormal level, take
-    :func:`_pointwise_grid`, ``O(n+m)`` per point and level.  With unit
+    Point ``j`` covers the first ``K_j = size - first_j`` descending
+    positions, where ``FR_j(t; 0) = fl(A / ntest * f_j)`` and ``FR_j(t; 1) =
+    fl((A + w_j) / ntest * f_j)``, with ``f_j = m / total_w``; below ``s_j``
+    both are ``fl(A / (1 + ntest) * f_j)``.  A locator returns the descending
+    positions of ``t(0)`` and ``t(1)`` per level and point, ``size`` meaning
+    none.  Both locators decide exactly these comparisons, so they give the
+    same positions, and a grid gives the bits of one call per level.  Non-unit
+    weights take :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level,
+    plus a slice for each point whose ``t(1)`` lies below ``t(0)``.  Unit
+    weights, and any grid with a subnormal level, take
+    :func:`_pointwise_positions`, ``O(n+m)`` per point and level.  With unit
     weights every point shares the factor ``m / (n + 1)``, so the thresholds
     collapse further, onto the rule of :func:`_own_term_threshold`; a
-    loop-free kernel built on that rule would replace the loop, which
-    meanwhile is the reference the keyed path is tested against.
+    loop-free locator built on that rule would replace the loop, which
+    meanwhile is the reference the keyed locator is tested against.
 
     Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
     ``nan`` marking absent thresholds.
@@ -140,82 +148,73 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     for gamma in gammas:
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
+    m, size = batch.m, batch.n + batch.m
+    vals, desc_vals, desc_A, ntest = _descending_prefix(batch)
+    w = batch.test_weights
+    total_w = float(batch.calib_weights.sum()) + w
+    factor = m / total_w
+    K = size - vals.searchsorted(batch.test_scores, side="left")
     # A subnormal level's rounding gap spans many ulps of gamma / f_j, which
     # _ratio_bounds does not search.
     keyed = not batch.has_unit_weights and all(gamma >= _SMALLEST_NORMAL for gamma in gammas)
-    return (_keyed_grid if keyed else _pointwise_grid)(batch, gammas)
+    locate = _keyed_positions if keyed else _pointwise_positions
+    i0, i1 = locate(gammas, desc_A, ntest, w, factor, K)
+
+    covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
+    one = covered & (i0 == i1)
+    evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
+    g_win, j_win = (covered > one).nonzero()
+    if g_win.size:
+        # The window runs from t(0) down to the end of t(1)'s tie group; it
+        # holds t(1), so it is never empty.
+        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
+        starts = i0[g_win, j_win]
+        for g, j, a, b in zip(g_win.tolist(), j_win.tolist(), starts.tolist(), stops.tolist()):
+            gamma, wj, total = gammas[g], w.item(j), total_w.item(j)
+            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= gamma).nonzero()[0]
+            ell_bar = (gamma * total * ntest[win] / m - desc_A[win]) / wj
+            largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
+            evalues[g, j] = total / largest if largest > 0.0 else np.inf
+    return evalues, desc_vals[i0], desc_vals[i1]
 
 
 def _descending_prefix(batch: ValidatedBatch):
     """``(vals, desc_vals, desc_A, desc_ntest)``: the pooled prefix, the last
     three in descending score order, where the first True of a feasibility
-    mask is the largest feasible threshold."""
+    mask is the largest feasible threshold.  They end in a sentinel position,
+    ``size``: score ``nan``, no risk and no test, so every ratio there is 0
+    and feasible at every level, and a search that finds nothing before it
+    stops there."""
     vals, A, ntest = _pooled_prefix(batch)
-    return vals, vals[::-1].copy(), A[::-1].copy(), ntest[::-1].copy()
+    desc = np.zeros((3, vals.size + 1))
+    desc[0, -1] = np.nan
+    desc[0, -2::-1], desc[1, -2::-1], desc[2, -2::-1] = vals, A, ntest
+    return vals, *desc
 
 
-def _grid_outputs(levels: int, m: int):
-    """``(evalues, t0, t1)`` of shape ``(levels, m)``: zero e-values, and
-    ``nan`` thresholds until a feasible one is found."""
-    thresholds = np.empty((2, levels, m))
-    thresholds.fill(np.nan)
-    return np.zeros((levels, m)), thresholds[0], thresholds[1]
-
-
-def _pointwise_grid(batch: ValidatedBatch, gammas: tuple):
-    """The kernel as one ``O(n+m)`` pass per test point.
+def _pointwise_positions(gammas: tuple, A, ntest, w, factor, K):
+    """The locator as one ``O(n+m)`` pass per test point.
 
     The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
     so each point computes them once.  Each level then costs ``O(n+m)``
-    comparisons per point: ``argmax`` returns the first True of a mask (and a
-    False there means no threshold is feasible).  Rounding keeps ``FR_j(t; 1)
-    >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)`` down, and the
-    breakpoint window is a slice of the ``ell = 0`` mask.
+    comparisons per point: ``argmax`` returns the first True of a mask, and
+    the sentinel makes that ``size`` when nothing else is feasible.  Rounding
+    keeps ``FR_j(t; 1) >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)``
+    down.
     """
-    m, size = batch.m, batch.n + batch.m
-    vals, desc_vals, desc_A, desc_ntest = _descending_prefix(batch)
-    desc_den = 1.0 + desc_ntest
-    calib_wsum = float(np.sum(batch.calib_weights))
-
-    evalues, t0_arr, t1_arr = _grid_outputs(len(gammas), m)
-
-    for j in range(m):
-        sj = batch.test_scores[j]
-        wj = batch.test_weights[j]
-        total_w = calib_wsum + wj
-        covers = desc_vals >= sj                 # 1{s_j <= t}
-        denom = desc_den - covers                # 1 + #{other tests <= t}, always >= 1
-        factor = m / total_w
-        fr0 = desc_A / denom * factor
-        fr1 = (desc_A + wj * covers) / denom * factor
-
+    i0 = np.empty((len(gammas), K.size), dtype=np.intp)
+    i1 = np.empty_like(i0)
+    den = 1.0 + ntest                            # 1 + #{tests <= t}
+    for j, (k, wj, f) in enumerate(zip(K.tolist(), w.tolist(), factor.tolist())):
+        covers = np.zeros(A.size, dtype=bool)
+        covers[:k] = True                        # 1{s_j <= t}
+        denom = den - covers                     # 1 + #{other tests <= t}, always >= 1
+        fr0 = A / denom * f
+        fr1 = (A + wj * covers) / denom * f
         for g, gamma in enumerate(gammas):
-            feas0 = fr0 <= gamma
-            i0 = int(np.argmax(feas0))
-            if not feas0[i0]:
-                continue           # nothing feasible at ell = 0, so none at ell = 1
-            t0_arr[g, j] = desc_vals[i0]
-            feas1 = fr1[i0:] <= gamma
-            i1 = int(np.argmax(feas1))
-            if not feas1[i1]:
-                continue           # no threshold at ell = 1 -> e-value 0
-            i1 += i0
-            t1 = desc_vals[i1]
-            t1_arr[g, j] = t1
-            if sj > t1:
-                continue           # test score never covered -> e-value 0
-            if desc_vals[i0] == t1:
-                evalues[g, j] = total_w / (wj + desc_A[i1])
-                continue
-
-            # The feasible positions from t(0) down to t(1)'s tie group; the
-            # window holds i1 and is never empty.
-            win = np.flatnonzero(feas0[:size - np.searchsorted(vals, t1, side="left")])
-            ell_bar = (gamma * total_w * denom[win] / m - desc_A[win]) / wj
-            largest = np.max(wj * np.clip(ell_bar, 0.0, 1.0) + desc_A[win])
-            evalues[g, j] = total_w / largest if largest > 0.0 else np.inf
-
-    return evalues, t0_arr, t1_arr
+            a = i0[g, j] = (fr0 <= gamma).argmax()
+            i1[g, j] = a + (fr1[a:] <= gamma).argmax()
+    return i0, i1
 
 
 _SMALLEST_NORMAL = np.finfo(float).smallest_normal
@@ -238,8 +237,8 @@ def _ratio_bounds(gamma: float, factor: np.ndarray) -> np.ndarray:
 
 def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Per point, the first position ``>= start[j]`` with ``q <= bound[j]``;
-    ``q`` ends in a ``-inf`` sentinel, which stands for "none".  The answer
-    lies between the first such position for ``max(bound)`` and the first for
+    ``q`` ends in a sentinel that every bound admits.  The answer lies
+    between the first such position for ``max(bound)`` and the first for
     ``min(bound)``, so only a point whose bracket stays open is scanned."""
     def first(level):
         at = (q <= level).nonzero()[0]
@@ -255,82 +254,51 @@ def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.nd
     return found
 
 
-def _keyed_grid(batch: ValidatedBatch, gammas: tuple):
-    """The kernel with ``t(0)`` found for every point from keys free of j.
+def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
+    """The locator with ``t(0)`` found for every point from keys free of j.
 
-    Point ``j`` covers the first ``K_j = size - first_j`` descending
-    positions, where ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A / (den -
-    1)`` and ``f_j = m / total_w``; below ``s_j`` both ratios are ``fl(q *
-    f_j)`` with ``q = A / den``.  Neither ``r`` nor ``q`` depends on ``j``,
-    and ``fl(x * f_j)`` is monotone in ``x``, so a position is feasible at
-    ``ell = 0`` exactly when its key is at most ``R_j``, the largest double
-    with ``fl(R_j * f_j) <= gamma`` (:func:`_ratio_bounds`).  Per level:
+    On covered positions ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A /
+    ntest``, and below ``s_j`` both ratios are ``fl(q * f_j)`` with ``q = A /
+    (1 + ntest)``.  Neither key depends on ``j``, and ``fl(x * f_j)`` is
+    monotone in ``x``, so a position is feasible at ``ell = 0`` exactly when
+    its key is at most ``R_j``, the largest double with ``fl(R_j * f_j) <=
+    gamma`` (:func:`_ratio_bounds`).  Per level:
 
-    * ``t(0)``'s position ``i0`` is one ``searchsorted`` of ``R`` on the
-      running minimum of ``r``, kept when it lies below ``K_j``;
-    * where ``ell = 1`` is feasible at ``i0`` too, ``t(1) = t(0)`` and the
-      e-value is ``total_w / (w_j + A[i0])``, for all such points at once;
-    * every other covered point scans ``[i0, K_j)`` for ``t(1)`` and takes
-      the window max from that slice;
+    * ``t(0)``'s position is one ``searchsorted`` of ``R`` on the running
+      minimum of ``r``, kept when it lies below ``K_j``;
+    * where ``ell = 1`` is feasible there too, ``t(1) = t(0)``, for all such
+      points at once;
+    * every other covered point scans ``[t(0), K_j)`` for ``t(1)``;
     * a point with no feasible covered threshold at ``ell = 0`` or ``1``
-      gets e-value 0 and takes the first position from ``K_j`` on with ``q <=
-      R_j`` (:func:`_first_at_most`), where both ratios agree.
+      takes the first position from ``K_j`` on with ``q <= R_j``
+      (:func:`_first_at_most`), where both ratios agree.
 
-    Every ratio is the float expression of :func:`_pointwise_grid`, so the
-    bits are the same, in ``O((n+m) log(n+m))`` per level plus the scans.
     Memory is ``O(n+m)``.
     """
-    m, size = batch.m, batch.n + batch.m
-    evalues, t0_arr, t1_arr = _grid_outputs(len(gammas), m)
-    if m == 0:
-        return evalues, t0_arr, t1_arr
-
-    vals, desc_vals, desc_A, cden = _descending_prefix(batch)   # cden: den - 1 = ntest
-    w = batch.test_weights
-    total_w = float(batch.calib_weights.sum()) + w
-    factor = m / total_w
-    K = size - vals.searchsorted(batch.test_scores, side="left")
-    last = K - 1                                 # the last position point j covers
-    kmax = int(K.max())                          # positions no point covers are left out
-    r = desc_A[:kmax] / cden[:kmax]
-    neg_min_r = -np.minimum.accumulate(r)        # nondecreasing
-
+    i0 = np.empty((len(gammas), K.size), dtype=np.intp)
+    i1 = np.empty_like(i0)
+    kmax = K.max(initial=0)                      # positions no point covers are left out
+    neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
     for g, gamma in enumerate(gammas):
         R = _ratio_bounds(gamma, factor)
-        i0 = neg_min_r.searchsorted(-R)          # the first r <= R
-        hit = i0 < K
+        a = neg_min_r.searchsorted(-R)           # the first r <= R
+        hit = a < K
+        b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        if hit.any():
-            p = np.minimum(i0, last)             # i0 where hit, a covered stand-in elsewhere
-            A0 = desc_A[p]
-            one = hit & ((A0 + w) / cden[p] * factor <= gamma)
-            np.copyto(t0_arr[g], desc_vals[p], where=hit)
-            np.copyto(t1_arr[g], t0_arr[g], where=one)
-            np.copyto(evalues[g], total_w / (w + A0), where=one)
-            for j in (hit > one).nonzero()[0].tolist():
-                i0j, kj, wj, total = p.item(j), K.item(j), w.item(j), total_w.item(j)
-                feas1 = (desc_A[i0j:kj] + wj) / cden[i0j:kj] * factor.item(j) <= gamma
-                i1 = feas1.argmax()
-                if not feas1[i1]:
-                    late[j] = True
-                    continue
-                # i1 > 0 here, so t(1) < t(0): tied positions share every ratio.
-                t1 = t1_arr[g, j] = desc_vals[i0j + i1]
-                end = size - vals.searchsorted(t1, side="left")   # past t(1)'s tie group
-                win = i0j + (r[i0j:end] <= R.item(j)).nonzero()[0]
-                ell_bar = (gamma * total * cden[win] / m - desc_A[win]) / wj
-                largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
-                evalues[g, j] = total / largest if largest > 0.0 else np.inf
-
-        if late.any():
-            # Below s_j both ratios are fl(q * f_j); the sentinel means none.
-            late = late.nonzero()[0]
-            q = np.concatenate((desc_A / (1.0 + cden), (-np.inf,)))
-            below = _first_at_most(q, K[late], R[late])
-            t1_arr[g, late] = np.concatenate((desc_vals, (np.nan,)))[below]
-            np.copyto(t0_arr[g], t1_arr[g], where=~hit)
-
-    return evalues, t0_arr, t1_arr
+        for j in (hit & ~((A[b] + w) / ntest[b] * factor <= gamma)).nonzero()[0].tolist():
+            lo, k = b.item(j), K.item(j)
+            feas1 = (A[lo:k] + w.item(j)) / ntest[lo:k] * factor.item(j) <= gamma
+            d = feas1.argmax()
+            if feas1[d]:
+                b[j] = lo + d
+            else:
+                late[j] = True
+        late = late.nonzero()[0]
+        if late.size:
+            b[late] = _first_at_most(A / (1.0 + ntest), K[late], R[late])
+        i0[g] = np.where(hit, a, b)
+        i1[g] = b
+    return i0, i1
 
 
 def _sdr_kernel(batch: ValidatedBatch, gamma: float):

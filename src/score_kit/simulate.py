@@ -472,8 +472,9 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     kernel call per level.
     """
     methods = [config.method] + [f"{config.method}_{b}" for b in config.baselines]
-    acc = {name: {a: {"risk": [], "reward": [], "nsel": [], "tdr": []}
-                  for a in config.alpha_grid} for name in methods}
+    # One cell per grid position, so a repeated level keeps its own row.
+    acc = {name: [{"risk": [], "reward": [], "nsel": [], "tdr": []} for _ in config.alpha_grid]
+           for name in methods}
 
     children = np.random.SeedSequence(config.seed).spawn(config.reps)
     for child in children:
@@ -482,7 +483,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
         grid_evalues = [None] * len(config.alpha_grid)
         if config.method == "sdr" and config.score_mode == "risk_prediction":
             grid_evalues = _sdr_kernel_grid(_batch(config, rep, None), config.alpha_grid)[0]
-        for alpha, evalues in zip(config.alpha_grid, grid_evalues):
+        for a_i, (alpha, evalues) in enumerate(zip(config.alpha_grid, grid_evalues)):
             batch = _batch(config, rep, alpha)
             selections = {config.method: _select(config, batch, alpha, rng, evalues)}
             for b in config.baselines:
@@ -490,7 +491,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
             for name, sel in selections.items():
                 sdr_realized, total_risk, total_reward = compute_metrics(
                     sel, rep["test_risks"], rep["test_rewards"])
-                cell = acc[name][alpha]
+                cell = acc[name][a_i]
                 cell["risk"].append(total_risk / config.m if config.method == "mdr" else sdr_realized)
                 cell["reward"].append(total_reward / config.m)
                 cell["nsel"].append(sel.size)
@@ -498,8 +499,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
     rows = []
     for name in methods:
-        for alpha in config.alpha_grid:
-            cell = acc[name][alpha]
+        for alpha, cell in zip(config.alpha_grid, acc[name]):
             risk_arr = np.asarray(cell["risk"])
             se = float(np.std(risk_arr, ddof=1) / np.sqrt(risk_arr.size)) if risk_arr.size > 1 else 0.0
             rows.append(MetricsRow(

@@ -1,6 +1,9 @@
 """Tests for the package's public surface."""
 
+import importlib
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import score_kit
 from score_kit import baselines, core, mdr, models, sdr, selection, simulate
@@ -44,3 +47,17 @@ def test_dgp_setting_has_the_one_field_id():
     setting = simulate.DgpSetting(4)
     assert [f.name for f in fields(setting)] == ["id"]
     assert (setting.dim, setting.sigma) == (20, 0.1)
+
+
+def test_benchmark_span_names_resolve():
+    # perfbench/spans.py wraps each named function where its callers look it
+    # up; a renamed one would otherwise fail only inside a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, callers in spans.SPANS.items():
+        home, attr = name.split(".", 1)
+        defined = getattr(importlib.import_module(f"score_kit.{home}"), attr)
+        for module in callers:
+            assert getattr(module, attr, None) is defined, (name, module.__name__)

@@ -266,3 +266,18 @@ def test_decide_matches_deploy_mask_on_tied_dyadic_instances():
         # deploy_mask's statistic: the covered risks summed in stable score order.
         prefix = np.cumsum(np.concatenate([[0.0], cl[np.argsort(cs, kind="stable")]]))
         assert d.empirical_stat == (1.0 + prefix[np.count_nonzero(cs <= s)]) / (n + 1)
+
+
+def test_single_point_forms_give_the_same_bits():
+    # a (score, weight) tuple, a TestPoint and, at unit weight, a bare score
+    # are one test point to every single-point entry
+    calib = [(0.1, 0.2, 2.0), (0.4, 0.5, 1.0), (0.35, 0.25, 0.5), (0.9, 1.0, 3.0)]
+    calls = ((weighted_mdr_decide, Levels(0.5)), (weighted_mdr_evalue, 0.5),
+             (weighted_mdr_evalue_oracle, 0.5))
+    for fn, level in calls:
+        for score, weight in ((0.3, 2.0), (0.3, 1.0), (0.05, 0.7)):
+            want = fn(calib, TestPoint(score, weight), level)
+            assert repr(fn(calib, (score, weight), level)) == repr(want)
+            if weight == 1.0:
+                for bare in (score, np.float64(score), np.array(score)):
+                    assert repr(fn(calib, bare, level)) == repr(want)

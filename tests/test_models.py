@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import per_step_loss_logistic_fit
-from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, ShiftModel,
+from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, LogisticWeightModel, ShiftModel,
                        generate_dataset, knn_fit, knn_predict, logistic_fit_weights,
                        mdr_decide, ratio_scores, rejection_sample_shifted, sdr_evalues,
                        shift_weight, weight_predict)
@@ -67,6 +67,15 @@ def test_knn_matches_stable_sort_reference():
             single = knn_predict(model, q[0])
             assert isinstance(single, float)
             assert single == _knn_reference(x, y, k, q[0])[0]
+
+
+def test_logistic_weight_model_leaves_caller_arrays_writeable():
+    arrays = [np.array([0.5, -0.2]), np.zeros(2), np.ones(2)]
+    model = LogisticWeightModel(arrays[0], 0.1, 1.0, (0.05, 20.0), arrays[1], arrays[2], 0.3)
+    assert all(a.flags.writeable for a in arrays)
+    for a in (model.coef, model.feat_mean, model.feat_std):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_knn_fit_leaves_caller_arrays_writeable():

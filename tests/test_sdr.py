@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from score_kit import (ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
+from score_kit import (SdrEvalueSet, ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
                        sdr_evalues_oracle, validate_batch, weighted_sdr_evalues,
                        weighted_sdr_evalues_oracle)
 from score_kit import sdr as sdr_module
@@ -25,6 +25,15 @@ def _agree(a, b, tol=1e-9):
     both_inf = np.isinf(a) & np.isinf(b)
     close = np.isclose(a, b, rtol=tol, atol=tol)
     return bool(np.all(both_inf | close))
+
+
+def test_evalue_set_leaves_caller_arrays_writeable():
+    arrays = [np.array([1.0, 0.0]), np.array([0.4, np.nan]), np.array([0.3, np.nan])]
+    res = SdrEvalueSet(*arrays)
+    assert all(a.flags.writeable for a in arrays)
+    for a in (res.evalues, res.thresholds_at_0, res.thresholds_at_1):
+        with pytest.raises(ValueError):
+            a[0] = 2.0
 
 
 def test_worked_fixture_fast_path():
@@ -197,10 +206,23 @@ def test_kernel_grid_one_ulp_cases(case):
 
 
 @pytest.mark.parametrize("weights", ["unit", "non-unit"])
-def test_keyed_kernel_equals_the_pointwise_loop(weights):
-    # Non-unit weights take the keyed path and unit weights the loop; on
-    # either kind of instance the two give the same bits, so the loop can
-    # retire once the unit-weight kernel is loop-free.
+def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
+    # Non-unit weights take the keyed locator and unit weights the loop; on
+    # either kind of instance both give the same positions of t(0) and t(1)
+    # from the same inputs, so the loop can retire once the unit-weight
+    # locator is loop-free.
+    keyed, loop = sdr_module._keyed_positions, sdr_module._pointwise_positions
+    compared = []
+
+    def both(*args):
+        got, want = keyed(*args), loop(*args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), args
+        compared.append(args)
+        return want
+
+    monkeypatch.setattr(sdr_module, "_keyed_positions", both)
+    monkeypatch.setattr(sdr_module, "_pointwise_positions", both)
     rng = np.random.default_rng(44)
     checked = windowed = 0
     for k in range(1600):
@@ -211,12 +233,10 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights):
         if batch.has_unit_weights != (weights == "unit"):
             continue
         gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2))
-        want = sdr_module._pointwise_grid(batch, gammas)
-        for got, ref in zip(sdr_module._keyed_grid(batch, gammas), want):
-            assert np.array_equal(got, ref, equal_nan=True), (calib, tests, gammas)
+        ev, t0, t1 = _sdr_kernel_grid(batch, gammas)
         checked += 1
-        windowed += bool(np.any((want[0] > 0.0) & (want[1] != want[2])))
-    assert checked >= 1000 and windowed >= 300, (checked, windowed)
+        windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
+    assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
 
 
 def test_kernel_takes_the_keyed_path_for_non_unit_weights_only(monkeypatch):
@@ -225,19 +245,20 @@ def test_kernel_takes_the_keyed_path_for_non_unit_weights_only(monkeypatch):
     def spy(name):
         real = getattr(sdr_module, name)
 
-        def path(batch, gammas):
+        def locate(*args):
             calls.append(name)
-            return real(batch, gammas)
-        return path
+            return real(*args)
+        return locate
 
-    for name in ("_pointwise_grid", "_keyed_grid"):
+    for name in ("_pointwise_positions", "_keyed_positions"):
         monkeypatch.setattr(sdr_module, name, spy(name))
     weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [0.05, 0.3], 0.3)
     weighted_sdr_evalues([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0), (0.3, 1.0)], 0.3)
     weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [(0.05, 1.0), (0.3, 0.5)], 0.3)
     # a subnormal level anywhere in the grid sends it through the loop
     _sdr_kernel_grid(validate_batch([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)]), (0.3, 5e-324))
-    assert calls == ["_pointwise_grid", "_keyed_grid", "_keyed_grid", "_pointwise_grid"]
+    assert calls == ["_pointwise_positions", "_keyed_positions", "_keyed_positions",
+                     "_pointwise_positions"]
 
 
 def test_ratio_bounds_are_the_largest_fitting_doubles():

@@ -153,6 +153,14 @@ def test_run_experiment_all_one_risk_stub():
     assert all(r.mean_nsel == 0.0 for r in rows)
 
 
+def test_run_experiment_keeps_a_repeated_level_apart():
+    # each grid position has its own cell: a repeated level gives the
+    # one-level row twice, not one row pooled over both
+    cfg = dict(n=100, m=20, reps=3, seed=5, method="sdr")
+    once = run_experiment(_tiny_config(alpha_grid=(0.3,), **cfg))
+    assert run_experiment(_tiny_config(alpha_grid=(0.3, 0.3), **cfg)) == once * 2
+
+
 def test_run_experiment_deterministic():
     cfg = _tiny_config(method="sdr", boost="homo")
     assert run_experiment(cfg) == run_experiment(cfg)
