@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Every run with ``--seed`` is bit-reproducible.  A run that makes random
 draws (``simulate``, ``select`` with a boost) and gets no ``--seed`` draws
 one from entropy and prints it to stderr for replay; other runs draw none.
-Floats are written with 17 significant digits.
+Floats are written as C ``%.17g`` (17 significant digits), lines end in CRLF.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -99,11 +100,10 @@ def _compute_evalues(args, batch, gamma):
 def _cmd_select(args) -> int:
     batch = _load_batch(args)
     gamma = args.gamma if args.gamma is not None else args.alpha
-    index, scores = range(batch.m), batch.test_scores.tolist()
+    index, scores = np.arange(batch.m), batch.test_scores
     if args.method == "mdr":
         mask = deploy_mask(batch, Levels(alpha=args.alpha, gamma=gamma))
-        _write_csv(args.out or sys.stdout, ["index", "score", "deploy"], "%d,%.17g,%d",
-                   zip(index, scores, mask.tolist()))
+        _write_csv(args.out or sys.stdout, ["index", "score", "deploy"], (index, scores, mask))
         return 0
 
     ev = _compute_evalues(args, batch, gamma)
@@ -119,15 +119,15 @@ def _cmd_select(args) -> int:
                 result = boost_homo(ev, args.alpha, 1.0 - float(rng.uniform()))
         selected[list(result.selected)] = 1
     _write_csv(args.out or sys.stdout, ["index", "score", "evalue", "selected"],
-               "%d,%.17g,%.17g,%d", zip(index, scores, ev.tolist(), selected.tolist()))
+               (index, scores, ev, selected))
     return 0
 
 
 def _cmd_evalues(args) -> int:
     batch = _load_batch(args)
     ev = _compute_evalues(args, batch, args.gamma)
-    _write_csv(args.out or sys.stdout, ["index", "score", "evalue"], "%d,%.17g,%.17g",
-               zip(range(batch.m), batch.test_scores.tolist(), ev.tolist()))
+    _write_csv(args.out or sys.stdout, ["index", "score", "evalue"],
+               (np.arange(batch.m), batch.test_scores, ev))
     return 0
 
 
@@ -183,12 +183,14 @@ def _cmd_estimate_weights(args) -> int:
     else:
         query = tgt
     weights = np.atleast_1d(weight_predict(model, query))
-    _write_csv(args.out or sys.stdout, ["index", "weight"], "%d,%.17g",
-               zip(range(weights.size), weights.tolist()))
+    _write_csv(args.out or sys.stdout, ["index", "weight"], (np.arange(weights.size), weights))
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(prog="score-kit", description="Deployment-risk control with e-values")
     sub = parser.add_subparsers(dest="command", required=True)
 

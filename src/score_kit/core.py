@@ -306,7 +306,10 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
 # decimal number without ``_`` digit separators.  Comma-separated, UTF-8
 # (a leading byte-order mark is skipped), '.' decimal, header required.
 # Errors name the file and the physical line.
-# Output: 17 significant digits, CRLF line ends.
+# Output: floats as C ``%.17g`` (17 significant digits rounded half to even,
+# trailing zeros dropped; fixed notation for decimal exponents -4 to 16,
+# exponent form otherwise; ``inf``, ``-inf``, ``nan`` as Python spells them),
+# integers as ``%d``, CRLF line ends.
 # ---------------------------------------------------------------------------
 
 def _raise_first_bad_cell(reader, path, names: Sequence[str], position: dict) -> None:
@@ -382,14 +385,170 @@ def _read_columns(path, required: Sequence[str] | None,
     return out
 
 
-def _write_csv(out, header: Sequence[str], row_fmt: str, rows: Iterable) -> None:
-    """Write ``header`` and then each of ``rows`` formatted by the ``%``
-    format ``row_fmt`` (``%.17g`` for floats), CRLF-terminated like
-    :mod:`csv`, to ``out``: a path, or an open text stream."""
+# The writer builds each field of a block of rows as a (width, rows) uint8
+# matrix of ASCII codes in which NUL bytes are padding.  The fields are laid
+# side by side in one matrix, and deleting its NULs leaves the rows' text.
+_CSV_BLOCK = 4096                                        # rows per block
+_POW10 = np.array([float(10 ** k) for k in range(21)])   # exact doubles
+_DIGIT_POS = np.arange(17)[:, None]
+_FLOAT_WIDTH = 39     # sign, "0.", 3 zeros, 17 digits, 16 point slots
+_FALLBACK_WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
+
+
+def _two_product(a, b):
+    """``hi, lo`` with ``hi = fl(a*b)`` and ``hi + lo == a*b`` exactly
+    (Dekker's TwoProduct; the Veltkamp split by 2**27 + 1 needs no fused
+    multiply-add)."""
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    hi = a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digit_rows(values, count):
+    """The ``count`` lowest decimal digits of nonnegative integers as a
+    (count, rows) uint8 matrix of ASCII codes, most significant first."""
+    out = np.empty((count, values.size), dtype=np.uint8)
+    k = count
+    while k:
+        chunk = (values % 1_000_000_000).astype(np.int32)
+        values = values // 1_000_000_000
+        for _ in range(min(9, k)):
+            k -= 1
+            q = chunk // 10
+            chunk -= q * 10
+            np.add(chunk, 48, out=out[k], casting="unsafe")
+            chunk = q
+    return out
+
+
+def _float_text(x):
+    """``"%.17g" % v`` for each float64 ``v`` of ``x``, as a NUL-padded
+    (39, rows) text matrix.
+
+    Rows 0–5 hold the sign, then "0." and up to three zeros for |v| < 1;
+    digit i of the 17 sits in row 6 + 2i, and row 7 + 2i holds the point
+    when it follows digit i.  Trailing zeros of the fraction and a point
+    with no fraction after it stay NUL; zero is ``0`` or ``-0``.  Values
+    outside the exact range (see :func:`_write_csv`) are formatted by ``%``
+    one at a time.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    exact = (a >= 1e-4) & (a < 1e17)                 # nan compares False
+    a = np.where(exact, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    while True:     # log10 may be one off near a power of ten
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        fix = np.flatnonzero(low | high)
+        if not fix.size:
+            break
+        e[fix] += np.where(high[fix], 1, -1)
+        hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    digits[zero] = 0
+    e[zero] = 0
+    d = _digit_rows(digits, 17)
+    keep = d != 48                   # then: some nonzero digit at or after i
+    for k in range(15, -1, -1):
+        keep[k] |= keep[k + 1]
+    keep |= _DIGIT_POS <= e          # and the integer part
+    text = np.zeros((_FLOAT_WIDTH, x.size), dtype=np.uint8)
+    text[0] = np.signbit(x) * np.uint8(45)           # '-'
+    below_one = e < 0
+    text[1] = below_one * np.uint8(48)               # '0'
+    text[2] = below_one * np.uint8(46)               # '.'
+    for j in range(3):
+        text[3 + j] = (e < -1 - j) * np.uint8(48)
+    np.multiply(d, keep, out=text[6::2])
+    np.multiply((_DIGIT_POS[:16] == e) & keep[1:], np.uint8(46), out=text[7::2])
+    slow = np.flatnonzero(~(exact | zero))
+    if slow.size:
+        text[:, slow] = 0
+        spelled = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
+        text[:_FALLBACK_WIDTH, slow] = spelled.view(np.uint8).reshape(slow.size, -1).T
+    return text
+
+
+def _int_text(v):
+    """``"%d" % i`` for each integer or bool ``i`` of ``v``, as a NUL-padded
+    text matrix: a sign row, then the digits with leading zeros left NUL."""
+    magnitude = np.abs(v.astype(np.int64)).astype(np.uint64)  # -2**63 wraps to 2**63
+    count = len(str(int(magnitude.max())))
+    d = _digit_rows(magnitude, count)
+    keep = d != 48
+    for k in range(1, count):
+        keep[k] |= keep[k - 1]
+    keep[-1] = True
+    text = np.empty((count + 1, v.size), dtype=np.uint8)
+    text[0] = (v < 0) * np.uint8(45)
+    np.multiply(d, keep, out=text[1:])
+    return text
+
+
+def _str_text(col):
+    """``str(v)`` for each element, UTF-8 encoded, as a NUL-padded text
+    matrix."""
+    spelled = np.array([str(v).encode("utf-8") for v in col.tolist()])
+    return spelled.view(np.uint8).reshape(col.size, -1).T
+
+
+def _field_text(col):
+    kind = col.dtype.kind
+    if kind == "f":
+        return _float_text(col.astype(np.float64))
+    if kind in "ib":
+        return _int_text(col)
+    return _str_text(col)
+
+
+def _write_csv(out, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header`` and one row per position of ``columns`` to ``out``,
+    a path or an open text stream, with CRLF line ends like :mod:`csv`.
+
+    Float columns are written as C ``%.17g``, signed integer and bool
+    columns as ``%d`` and other columns (short strings, without NUL) as
+    ``str``.  Rows are formatted in blocks of ``_CSV_BLOCK``, so the memory
+    this takes does not grow with the row count.
+
+    Floats need no Python formatting in the range that ``%.17g`` writes in
+    fixed notation.  For finite |x| >= 1e-4 with decimal exponent X <= 16,
+    ``p = 16 - X`` is at most 20, so ``10**p`` is an exact double (every
+    power up to 10**22 is).  TwoProduct then gives ``hi + lo == |x|·10**p``
+    exactly; X is the exponent for which that product lies in
+    [10**16, 10**17).  There ``hi >= 2**53`` is an even integer, so the 17
+    correctly rounded digits are ``int(hi) + rint(lo)``, ties to even.
+    They never round up to 10**17, which would move X up by one: that
+    takes a double within 0.5·10**(X-16) below 10**(X+1), and the nearest
+    one below each of 1e-3 ... 1e17 is more than 16 times as far.  Every
+    other value (zero aside: ``0``, ``-0``) is formatted by
+    ``"%.17g" % v``: inf, nan, subnormals, 0 < |x| < 1e-4 and
+    |x| >= 1e17.
+    """
+    columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError("CSV columns differ in length")
     own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
     with open(out, "w", newline="", encoding="utf-8") if own else nullcontext(out) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(map((row_fmt + "\r\n").__mod__, rows)))
+        for start in range(0, rows, _CSV_BLOCK):
+            fields = [_field_text(col[start:start + _CSV_BLOCK]) for col in columns]
+            block = np.empty((fields[0].shape[1], sum(len(f) + 1 for f in fields) + 1),
+                             dtype=np.uint8)
+            pos = 0
+            for text in fields:
+                block[:, pos:pos + len(text)] = text.T
+                block[:, pos + len(text)] = 44             # ','
+                pos += len(text) + 1
+            block[:, pos - 1:] = (13, 10)                  # the last ',' becomes CRLF
+            fh.write(block.tobytes().translate(None, b"\0").decode("utf-8"))
 
 
 def read_calibration_csv(path) -> np.ndarray:

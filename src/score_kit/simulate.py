@@ -11,7 +11,7 @@ marginal/selective risk, reward, and selection counts per target level.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
@@ -520,7 +520,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], out) -> None:
-    """Write metrics rows as CSV to a path or an open text stream (17
-    significant digits for floats)."""
-    _write_csv(out, METRICS_COLUMNS, "%.17g,%s,%s,%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g",
-               map(astuple, rows))
+    """Write metrics rows as CSV to a path or an open text stream (floats as
+    C ``%.17g``)."""
+    rows = list(rows)
+    _write_csv(out, METRICS_COLUMNS,
+               [np.array([getattr(r, name) for r in rows]) for name in METRICS_COLUMNS])

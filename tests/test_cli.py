@@ -183,6 +183,25 @@ def test_cli_output_bytes_match_csv_module_reference(tmp_path, capsys, command, 
         assert capsys.readouterr().out == expected
 
 
+def test_main_runs_repeatedly_in_one_process(fixture_files, capsys):
+    # The parser is built once per process; every call must still read as a
+    # fresh run of the command.
+    calib, test = fixture_files
+    runs = [["select", calib, test, "--method", "sdr", "--alpha", "0.5", "--boost", "hete", "--seed", "3"],
+            ["select", calib, test, "--method", "mdr", "--alpha", "2"],
+            ["evalues", calib, test, "--gamma", "0.4"],
+            ["select", calib, test, "--method", "mdr", "--alpha", "0.5"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    for argv, code in zip(runs, (0, 1, 0, 0)):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "score_kit.cli", *argv], env=env,
+                               capture_output=True, timeout=120)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, out.encode(), err.encode())
+
+
 def test_evalues_requires_gamma(fixture_files):
     calib, test = fixture_files
     assert main(["evalues", calib, test]) == 1

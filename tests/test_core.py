@@ -12,7 +12,7 @@ from score_kit import (CalibSample, EmptyCalibration, Levels, NonFiniteScore,
                        NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler,
                        SchemaError, TestPoint, ValidatedBatch, read_calibration_csv, read_test_csv,
                        rescale_risk, unrescale, validate_batch)
-from score_kit.core import _write_csv
+from score_kit.core import _CSV_BLOCK, _write_csv
 from helpers import csv_reference_columns, csv_reference_write
 
 
@@ -311,10 +311,51 @@ def test_csv_writer_matches_csv_module_reference(tmp_path, capsys, to_path):
     header = ["index", "value", "flag"]
     expected = io.StringIO()
     csv_reference_write(expected, header, (range(floats.size), floats, flags))
-    rows = zip(range(floats.size), floats.tolist(), flags)
+    columns = (np.arange(floats.size), floats, flags)
     if to_path:
-        _write_csv(tmp_path / "out.csv", header, "%d,%.17g,%d", rows)
+        _write_csv(tmp_path / "out.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode("utf-8")
     else:
-        _write_csv(sys.stdout, header, "%d,%.17g,%d", rows)
+        _write_csv(sys.stdout, header, columns)
         assert capsys.readouterr().out == expected.getvalue()
+
+
+def _written(columns):
+    buf = io.StringIO()
+    _write_csv(buf, ["v"] * len(columns), columns)
+    return buf.getvalue()
+
+
+def _percent_rows(fmt, columns):
+    return "".join(f"{fmt}\r\n" % row for row in zip(*(col.tolist() for col in columns)))
+
+
+def test_csv_writer_edge_values_match_percent_formatting():
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # k / 2**j with k odd and k * 5**j of 18 digits: the 18th significant
+    # digit is a 5 with nothing after it, a tie that %.17g rounds to even.
+    rng = np.random.default_rng(17)
+    ties = []
+    for j in range(2, 22):
+        for k in rng.integers(-(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53), 40).tolist():
+            k |= 1
+            assert len(str(k * 5 ** j)) == 18
+            ties.append(k / 2 ** j)
+    # The double nearest 1e-305 lies below it and still prints as 1e-305:
+    # its 17 digits round up to the next power of ten.
+    special = [1e-305, 1e-243, 5e-324, -5e-324, 1e300, -1e300, 0.0, -0.0, np.inf, -np.inf, np.nan,
+               1e-4, 9.9999999999999991e-05, 1e17, 99999999999999984.0, 0.5, 0.25, 1.0, 20.0]
+    floats = np.concatenate([near, -near, ties, np.negative(ties), special])
+    assert _written([floats]) == "v\r\n" + _percent_rows("%.17g", [floats])
+    ints = np.array([0, 1, -1, 9, -10, 10 ** 9, -(10 ** 9) - 1, 10 ** 18, -(10 ** 18),
+                     np.iinfo(np.int64).max, np.iinfo(np.int64).min], dtype=np.int64)
+    assert _written([ints]) == "v\r\n" + _percent_rows("%d", [ints])
+
+
+@pytest.mark.parametrize("rows", [0, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def test_csv_writer_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    columns = (np.arange(rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 20, rows),
+               rng.uniform(size=rows) < 0.5, rng.integers(-50, 50, rows))
+    assert _written(columns) == "v,v,v,v\r\n" + _percent_rows("%d,%.17g,%d,%d", columns)
