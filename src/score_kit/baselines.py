@@ -70,8 +70,9 @@ def _empirical_rademacher(scores: np.ndarray, values: np.ndarray, signs: np.ndar
     the supremum running over all real thresholds (including one below every
     score, so each term is at least zero)."""
     order = np.argsort(scores, kind="stable")
-    contrib = (signs[:, order] * values[order])
-    partial = np.cumsum(contrib, axis=1)
+    partial = signs[:, order]                    # the one (k, n) array, worked in place
+    partial *= values[order]
+    np.cumsum(partial, axis=1, out=partial)
     sups = np.maximum(np.max(partial, axis=1), 0.0)
     return float(np.mean(sups)) / scores.size
 

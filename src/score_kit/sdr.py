@@ -37,16 +37,21 @@ meant for small instances.
 The exact kernel takes a grid of levels, locates ``t_j(0)`` and ``t_j(1)``
 for every point and level, and then finishes every path with one rule: the
 ``t_j(0) == t_j(1)`` shortcut at ``ell = 1`` and otherwise the minimum over
-the window between them.  Only the locators differ, and they give the same
+the window between them.  The windows of all points and levels are laid
+end to end and maximized in one array pass, in groups of about ``n+m``
+positions, so that step costs time proportional to their total length and
+``O(n+m)`` memory.  Only the locators differ, and they give the same
 positions.  Non-unit weights find every point's ``t_j(0)`` at once: on
 thresholds at or above ``s_j`` the ``ell = 0`` ratio is ``fl(r * f_j)``,
 with a key ``r`` that does not depend on ``j`` and ``f_j = m / (w_j + sum_i
 w_i)``, and ``fl(x * f)`` is monotone in ``x``, so one ``searchsorted`` over
-the running minimum of ``r`` serves all points; a level costs ``O((n+m)
-log(n+m))`` plus a slice per point whose ``t_j(1)`` lies below ``t_j(0)``.
-Unit weights keep one ``O(n+m)`` pass per point, which computes the
-level-free ratios once and then makes ``O(n+m)`` comparisons per level (see
-``_sdr_kernel_grid`` for why).
+the running minimum of ``r`` serves all points; ``t_j(1)`` is then sought
+in a block of the next 64 positions for all points at once, and a level
+costs ``O((n+m) log(n+m))`` plus a slice per point whose ``t_j(1)`` lies
+beyond its block.  Unit weights keep one ``O(n+m)`` pass per point, which
+computes the level-free ratios once and then makes ``O(n+m)`` comparisons
+per level (see ``_sdr_kernel_grid`` for why); it is the only Python loop
+that visits every point.
 """
 
 from __future__ import annotations
@@ -119,7 +124,10 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     exceeds ``t(1)`` gets 0.  Otherwise the e-value is ``total_w / largest``
     with ``largest = max(w_j * clip(ell_bar, 0, 1) + A)`` over the ``ell =
     0`` feasible thresholds from ``t(1)``'s tie group to ``t(0)``, where
-    ``ell_bar`` solves ``FR_j(t; ell) = gamma``.  Thresholds that no ``ell``
+    ``ell_bar`` solves ``FR_j(t; ell) = gamma``.  :func:`_window_evalues`
+    takes these maxima for every windowed (level, point) pair in one array
+    pass, in groups of about ``n+m`` positions: time proportional to the
+    total window length, ``O(n+m)`` memory.  Thresholds that no ``ell``
     attains are harmless: each has a larger feasible one with a larger
     ``ell_bar``, and clip, ``w_j * x``, ``+ A`` and ``total_w / x`` are
     monotone under rounding.  The ``t(0) == t(1)`` shortcut is kept on
@@ -133,7 +141,8 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     none.  Both locators decide exactly these comparisons, so they give the
     same positions, and a grid gives the bits of one call per level.  Non-unit
     weights take :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level,
-    plus a slice for each point whose ``t(1)`` lies below ``t(0)``.  Unit
+    plus a slice for each point whose ``t(1)`` lies more than 64 positions
+    below ``t(0)``.  Unit
     weights, and any grid with a subnormal level, take
     :func:`_pointwise_positions`, ``O(n+m)`` per point and level.  With unit
     weights every point shares the factor ``m / (n + 1)``, so the thresholds
@@ -167,15 +176,66 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     if g_win.size:
         # The window runs from t(0) down to the end of t(1)'s tie group; it
         # holds t(1), so it is never empty.
-        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
         starts = i0[g_win, j_win]
-        for g, j, a, b in zip(g_win.tolist(), j_win.tolist(), starts.tolist(), stops.tolist()):
-            gamma, wj, total = gammas[g], w.item(j), total_w.item(j)
-            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= gamma).nonzero()[0]
-            ell_bar = (gamma * total * ntest[win] / m - desc_A[win]) / wj
-            largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
-            evalues[g, j] = total / largest if largest > 0.0 else np.inf
+        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
+        per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], factor[j_win], w[j_win],
+                             total_w[j_win]))
+        evalues[g_win, j_win] = _window_evalues(desc_A, ntest, m, starts, stops, per_pair)
     return evalues, desc_vals[i0], desc_vals[i1]
+
+
+def _window_evalues(A, ntest, m: int, starts, stops, per_pair):
+    """Each window's e-value ``total_w / largest``, ``inf`` when ``largest``
+    is not positive, with ``largest = max(w_j * clip(ell_bar, 0, 1) + A)``
+    over the window's ``ell = 0`` feasible positions.
+
+    Window ``p`` holds the descending positions ``starts[p]`` to
+    ``stops[p]``; ``per_pair`` stacks its ``(gamma, f_j, w_j, total_w)``.
+    The windows are laid end to end and every position takes the per-window
+    float expressions element by element; infeasible positions drop out as
+    ``-inf`` and ``np.maximum.reduceat`` takes each window's maximum, which
+    is exact whatever the order.  The work is proportional to the total
+    window length, in consecutive groups of at most ``A.size`` positions, so
+    memory stays ``O(n+m)``.  A window that forms a group alone (one longer
+    than that, or the only one) is read as a slice with its pair's values as
+    scalars, which spares a call with a single window the repeats.
+    """
+    lengths = stops - starts
+    ends = lengths.cumsum()
+    evalues = np.empty(lengths.size)
+    lo = 0
+    while lo < ends.size:
+        head = ends[lo] - lengths[lo]
+        hi = max(lo + 1, ends.searchsorted(head + A.size, side="right"))
+        if hi == lo + 1:                         # a slice, its pair's values as scalars
+            at = slice(starts[lo], stops[lo])
+            gamma, f, wj, total = per_pair[:, lo].tolist()
+            feasible, value = _window_terms(A[at], ntest[at], m, gamma, f, wj, total)
+            largest = value[feasible].max()
+            evalues[lo] = total / largest if largest > 0.0 else np.inf
+        else:
+            marks = ends[lo:hi] - lengths[lo:hi] - head      # where each window starts
+            at = np.repeat(starts[lo:hi] - marks, lengths[lo:hi])
+            at += np.arange(at.size)
+            feasible, value = _window_terms(A[at], ntest[at], m,
+                                            *np.repeat(per_pair[:, lo:hi], lengths[lo:hi], axis=1))
+            largest = np.maximum.reduceat(np.where(feasible, value, -np.inf), marks)
+            e = evalues[lo:hi]
+            e.fill(np.inf)
+            np.divide(per_pair[3, lo:hi], largest, out=e, where=largest > 0.0)
+        lo = hi
+    return evalues
+
+
+def _window_terms(a, nt, m: int, gamma, f, wj, total):
+    """``(feasible, value)`` at window positions with prefix ``a`` and test
+    count ``nt``: ``fl(a / nt * f_j) <= gamma`` and ``w_j * clip(ell_bar, 0,
+    1) + a``, where ``ell_bar`` solves ``FR_j(t; ell) = gamma``."""
+    value = (gamma * total * nt / m - a) / wj    # ell_bar
+    value.clip(0.0, 1.0, out=value)
+    value *= wj
+    value += a
+    return a / nt * f <= gamma, value
 
 
 def _descending_prefix(batch: ValidatedBatch):
@@ -210,7 +270,10 @@ def _pointwise_positions(gammas: tuple, A, ntest, w, factor, K):
         covers[:k] = True                        # 1{s_j <= t}
         denom = den - covers                     # 1 + #{other tests <= t}, always >= 1
         fr0 = A / denom * f
-        fr1 = (A + wj * covers) / denom * f
+        fr1 = wj * covers                        # (A + w_j 1{s_j <= t}) / denom * f, in place
+        fr1 += A
+        fr1 /= denom
+        fr1 *= f
         for g, gamma in enumerate(gammas):
             a = i0[g, j] = (fr0 <= gamma).argmax()
             i1[g, j] = a + (fr1[a:] <= gamma).argmax()
@@ -254,6 +317,37 @@ def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.nd
     return found
 
 
+_BLOCK = np.arange(64)
+
+
+def _first_feasible_at_one(gamma: float, A, ntest, w, factor, lo, K):
+    """``(position, found)``: per point, the first position in ``[lo, K)``
+    where ``ell = 1`` is feasible, ``fl((A + w_j) / ntest * f_j) <= gamma``,
+    and whether there is one (``lo`` where not).
+
+    ``t(1)`` sits a few positions below ``t(0)``, so the first ``64``
+    positions of every point are scanned as one ``(points, 64)`` block,
+    with positions past ``K_j - 1`` read as ``K_j - 1`` (a repeat cannot
+    come first).  Only a point whose block holds no feasible position and
+    stops short of ``K_j`` scans the rest of its slice; a lone point scans
+    its slice at once.
+    """
+    position, found, rest = lo.copy(), np.zeros(lo.size, dtype=bool), lo
+    if lo.size > 1:
+        at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
+        feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= gamma
+        first = feasible.argmax(axis=1)
+        rows = np.arange(lo.size)
+        position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
+    for p in ((rest < K) > found).nonzero()[0].tolist():
+        start, k = rest.item(p), K.item(p)
+        feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= gamma
+        d = feasible.argmax()
+        if feasible[d]:
+            position[p], found[p] = start + d, True
+    return position, found
+
+
 def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
     """The locator with ``t(0)`` found for every point from keys free of j.
 
@@ -268,31 +362,34 @@ def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
       minimum of ``r``, kept when it lies below ``K_j``;
     * where ``ell = 1`` is feasible there too, ``t(1) = t(0)``, for all such
       points at once;
-    * every other covered point scans ``[t(0), K_j)`` for ``t(1)``;
+    * every other covered point seeks ``t(1)`` in ``[t(0), K_j)``: the first
+      64 positions of all of them as one block, then the rest of the slice
+      only for the points whose block holds none
+      (:func:`_first_feasible_at_one`);
     * a point with no feasible covered threshold at ``ell = 0`` or ``1``
       takes the first position from ``K_j`` on with ``q <= R_j``
       (:func:`_first_at_most`), where both ratios agree.
 
-    Memory is ``O(n+m)``.
+    Memory is ``O(n+m)``: the blocks run over at most ``(n+m+1) / 64``
+    points at a time.
     """
     i0 = np.empty((len(gammas), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
     kmax = K.max(initial=0)                      # positions no point covers are left out
     neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
+    per_block = max(1, A.size // _BLOCK.size)    # points per block: about A.size positions
     for g, gamma in enumerate(gammas):
         R = _ratio_bounds(gamma, factor)
         a = neg_min_r.searchsorted(-R)           # the first r <= R
         hit = a < K
         b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        for j in (hit & ~((A[b] + w) / ntest[b] * factor <= gamma)).nonzero()[0].tolist():
-            lo, k = b.item(j), K.item(j)
-            feas1 = (A[lo:k] + w.item(j)) / ntest[lo:k] * factor.item(j) <= gamma
-            d = feas1.argmax()
-            if feas1[d]:
-                b[j] = lo + d
-            else:
-                late[j] = True
+        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= gamma)).nonzero()[0]
+        for c in range(0, scan.size, per_block):
+            part = scan[c:c + per_block]
+            b[part], found = _first_feasible_at_one(gamma, A, ntest, w[part], factor[part],
+                                                    b[part], K[part])
+            late[part] = ~found
         late = late.nonzero()[0]
         if late.size:
             b[late] = _first_at_most(A / (1.0 + ntest), K[late], R[late])

@@ -6,6 +6,7 @@ from operator import itemgetter
 import numpy as np
 
 from score_kit import DivergedFit, validate_batch
+from score_kit import sdr
 from score_kit.baselines import _as_signs, _empirical_rademacher
 
 # Deployed e-values sit mathematically at exactly 1/level on the decision
@@ -302,3 +303,40 @@ def csv_reference_write(out, header, columns):
     writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(zip(*map(cells, columns)))
+
+
+# ---------------------------------------------------------------------------
+# Per-window reference for the exact SDR kernel's finishing step: the same
+# prefix and locators, then one Python iteration per windowed (level, point)
+# pair.  The library lays every window end to end and takes their maxima in
+# one array pass per group; the outputs must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def per_window_sdr_kernel_grid(batch, gammas):
+    """``(evalues, t0, t1)`` of ``_sdr_kernel_grid``, each window's maximum
+    taken by its own slice."""
+    gammas = tuple(gammas)
+    m, size = batch.m, batch.n + batch.m
+    vals, desc_vals, desc_A, ntest = sdr._descending_prefix(batch)
+    w = batch.test_weights
+    total_w = float(batch.calib_weights.sum()) + w
+    factor = m / total_w
+    K = size - vals.searchsorted(batch.test_scores, side="left")
+    keyed = not batch.has_unit_weights and all(g >= sdr._SMALLEST_NORMAL for g in gammas)
+    locate = sdr._keyed_positions if keyed else sdr._pointwise_positions
+    i0, i1 = locate(gammas, desc_A, ntest, w, factor, K)
+
+    covered = i1 < K
+    one = covered & (i0 == i1)
+    evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
+    g_win, j_win = (covered > one).nonzero()
+    if g_win.size:
+        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
+        starts = i0[g_win, j_win]
+        for g, j, a, b in zip(g_win.tolist(), j_win.tolist(), starts.tolist(), stops.tolist()):
+            gamma, wj, total = gammas[g], w.item(j), total_w.item(j)
+            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= gamma).nonzero()[0]
+            ell_bar = (gamma * total * ntest[win] / m - desc_A[win]) / wj
+            largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
+            evalues[g, j] = total / largest if largest > 0.0 else np.inf
+    return evalues, desc_vals[i0], desc_vals[i1]

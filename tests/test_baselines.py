@@ -5,6 +5,7 @@ import pytest
 
 from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
                        concentration_sdr_threshold, rademacher_signs, validate_batch)
+from score_kit.baselines import _empirical_rademacher
 from helpers import dense_concentration_mdr_threshold, dense_concentration_sdr_threshold
 
 
@@ -182,3 +183,21 @@ def test_thresholds_equal_dense_reference():
         assert t_sdr == dense_concentration_sdr_threshold(calib, config, alpha, draws)
         found += (t_mdr is not None) + (t_sdr is not None)
     assert found >= 1000
+
+
+def test_empirical_rademacher_equals_the_three_temporary_expression():
+    # the gather is multiplied and summed in place: the same per-element
+    # operations as the separate product and cumsum, so the same bits; tied
+    # scores check that the stable order is kept
+    rng = np.random.default_rng(66)
+    for k in range(200):
+        n, draws = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+        scores = rng.integers(0, 8, size=n) / 4 if k % 2 else rng.uniform(size=n)
+        values = np.ones(n) if k % 3 == 0 else rng.uniform(size=n)
+        signs = rademacher_signs(rng, draws, n)
+        kept = signs.copy()
+        order = np.argsort(scores, kind="stable")
+        partial = np.cumsum(signs[:, order] * values[order], axis=1)
+        want = float(np.mean(np.maximum(np.max(partial, axis=1), 0.0))) / n
+        assert _empirical_rademacher(scores, values, signs) == want
+        assert np.array_equal(signs, kept)

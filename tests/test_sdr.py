@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from score_kit import (SdrEvalueSet, ebh, sdr_evalues, sdr_evalues_at, sdr_evalues_conservative,
-                       sdr_evalues_oracle, validate_batch, weighted_sdr_evalues,
-                       weighted_sdr_evalues_oracle)
+from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, sdr_evalues, sdr_evalues_at,
+                       sdr_evalues_conservative, sdr_evalues_oracle, validate_batch,
+                       weighted_sdr_evalues, weighted_sdr_evalues_oracle)
 from score_kit import sdr as sdr_module
 from score_kit.sdr import _sdr_kernel, _sdr_kernel_grid
 from helpers import (attained_breakpoint_sdr_kernel, dense_sdr_evalues_conservative,
-                     exchangeable_pairs, mc_bound_ok, random_sdr_instance, risk_evalue_products)
+                     exchangeable_pairs, mc_bound_ok, per_window_sdr_kernel_grid, random_sdr_instance,
+                     risk_evalue_products)
 
 FIX_CALIB = [(0.1, 0.0), (0.3, 0.0), (0.9, 0.5)]
 FIX_TESTS = [0.2, 0.4, 0.8]
@@ -237,6 +238,74 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
     assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
+
+
+def _window_length(batch, evalues, t0, t1):
+    """The total length of a kernel call's windows, from its returned
+    thresholds: each windowed pair spans the pooled scores in ``[t(1),
+    t(0)]``."""
+    vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
+    win = (evalues > 0.0) & (t0 != t1)
+    return int(np.sum(vals.searchsorted(t0[win], side="right") - vals.searchsorted(t1[win], side="left")))
+
+
+def _informative_batch(rng, n, m, tied, weighted):
+    """Risks that rise with the score, as in the benchmark's inputs: many
+    points take the window, and their windows are long."""
+    s = rng.uniform(size=n + m)
+    risks = np.clip(s + 0.2 * rng.standard_normal(n + m), 0.0, 1.0)
+    if tied:
+        s = np.round(s, 2)
+    w = np.exp(0.5 * rng.standard_normal(n + m)) if weighted else np.ones(n + m)
+    return ValidatedBatch(s[:n], risks[:n], w[:n], s[n:], w[n:])
+
+
+@pytest.mark.parametrize("weights", ["unit", "non-unit"])
+def test_grouped_window_step_equals_the_per_window_loop(weights):
+    # The windows are laid end to end and maximized in groups of about n+m
+    # positions; a call whose windows add up to more than n+m+1 positions
+    # runs several groups.  Every array keeps the per-window loop's bits.
+    rng = np.random.default_rng(46)
+    checked = windowed = grouped = 0
+    for k in range(1400):
+        if k % 7 == 6:
+            batch = _informative_batch(rng, int(rng.integers(10, 120)), int(rng.integers(10, 60)),
+                                       tied=k % 2 == 0, weighted=weights == "non-unit")
+        else:
+            calib, tests = _kernel_instance(rng, k)
+            if weights == "unit":
+                calib, tests = [c[:2] for c in calib], [t[0] for t in tests]
+            batch = validate_batch(calib, tests)
+            if batch.has_unit_weights != (weights == "unit"):
+                continue
+        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2))
+        got = _sdr_kernel_grid(batch, gammas)
+        want = per_window_sdr_kernel_grid(batch, gammas)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), (batch, gammas)
+        checked += 1
+        windowed += bool(np.any((got[0] > 0.0) & (got[1] != got[2])))
+        grouped += _window_length(batch, *got) > batch.n + batch.m + 1
+    assert checked >= 600 and windowed >= 300 and grouped >= 100, (checked, windowed, grouped)
+
+
+@pytest.mark.parametrize("weights", ["unit", "non-unit"])
+def test_kernel_memory_stays_linear_when_windows_are_long(weights):
+    # m >> n on informative data: the windows add up to at least 20(n+m)
+    # positions.  Expanding them all at once would hold their positions and
+    # four repeated rows, over 100(n+m) doubles; the grouped step stays
+    # within a bound that is independent of the total window length.
+    rng = np.random.default_rng(44)
+    n, m = 200, 2000
+    batch = _informative_batch(rng, n, m, tied=False, weighted=weights == "non-unit")
+    tracemalloc.start()
+    try:
+        got = _sdr_kernel_grid(batch, (0.2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _window_length(batch, *(a[0] for a in got)) >= 20 * (n + m)
+    assert peak < 50 * 8 * (n + m), f"peak {peak / (8 * (n + m)):.1f} (n+m) doubles"
 
 
 def test_kernel_takes_the_keyed_path_for_non_unit_weights_only(monkeypatch):
