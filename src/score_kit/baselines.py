@@ -101,12 +101,12 @@ def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
     if config.kind == "hoeffding":
         grid = np.linspace(0.0, 1.0, config.grid_size)
         eps = np.sqrt(np.log(2.0 * config.grid_size / config.delta) / (2.0 * n))
-        slack = np.full(grid.size, eps)
+        slack = eps
     else:
         grid = np.unique(scores)
         signs = _as_signs(rng_draws, config.rademacher_draws, n)
         rad = _empirical_rademacher(scores, risks, signs)
-        slack = np.full(grid.size, 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n)))
+        slack = 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n))
 
     sorted_scores, prefix0 = _sorted_prefix(scores, risks)
     mdr_hat = prefix0[np.searchsorted(sorted_scores, grid, side="right")] / n

@@ -83,7 +83,7 @@ def _step_up(evalues: np.ndarray, alpha: float, boosted=None) -> SelectionResult
     if tau == 0:
         return SelectionResult(frozenset(), 0, np.inf, boosted)
     threshold = m / (alpha * tau)
-    selected = frozenset(int(j) for j in np.flatnonzero(evalues >= threshold))
+    selected = frozenset(np.flatnonzero(evalues >= threshold).tolist())
     return SelectionResult(selected, tau, float(threshold), boosted)
 
 
@@ -107,7 +107,7 @@ def boost_hete(evalues, alpha: float, draws) -> SelectionResult:
     if np.any(~(xis > 0.0)) or np.any(xis > 1.0):
         raise InvalidDraws("draws must lie in (0, 1]")
     boosted = e / xis
-    return _step_up(boosted, alpha, tuple(float(b) for b in boosted))
+    return _step_up(boosted, alpha, tuple(boosted.tolist()))
 
 
 def boost_homo(evalues, alpha: float, draw: float) -> SelectionResult:
@@ -116,7 +116,7 @@ def boost_homo(evalues, alpha: float, draw: float) -> SelectionResult:
     if not (0.0 < draw <= 1.0):
         raise InvalidDraws(f"draw must lie in (0, 1], got {draw!r}")
     boosted = e / draw
-    return _step_up(boosted, alpha, tuple(float(b) for b in boosted))
+    return _step_up(boosted, alpha, tuple(boosted.tolist()))
 
 
 def conformal_pvalues(calib_scores, test_scores) -> np.ndarray:
@@ -159,5 +159,5 @@ def bh(pvalues, alpha: float) -> SelectionResult:
     if k_star == 0:
         return SelectionResult(frozenset(), 0, np.inf)
     cutoff = alpha * k_star / m
-    selected = frozenset(int(j) for j in np.flatnonzero(p <= cutoff))
+    selected = frozenset(np.flatnonzero(p <= cutoff).tolist())
     return SelectionResult(selected, k_star, float(cutoff))

@@ -243,6 +243,8 @@ def rejection_sample_shifted(generate: Callable[[int, np.random.Generator], tupl
     state; raises :class:`SamplingStalled` if ``max_draws`` base draws
     (default ``max(10_000, 100 * count)``) are exhausted first.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     if isinstance(model, ShiftModel):
         if model.kind == "none":
             raise ValueError("rejection sampling requires a non-trivial shift model")
@@ -463,45 +465,41 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     test points and replicates of deployed risk (marginal method) or the mean
     over replicates of the per-replicate selective risk (selective method).
 
-    With ``score_mode == "risk_prediction"`` the scores, and so the batch, do
-    not depend on the level: an SDR experiment then runs the kernel once per
-    replicate over the whole ``alpha_grid`` (:func:`sdr._sdr_kernel_grid`,
-    the same bits as one call per level) and only eBH, boosting and the
-    baselines run per level, drawing from the generator in the same order.
-    Ratio scores change with the level, so ``risk_reward_ratio`` keeps one
-    kernel call per level.
+    With ``score_mode == "risk_prediction"`` the scores do not depend on the
+    level, so a replicate builds its batch once and an SDR experiment runs the
+    kernel once over the whole ``alpha_grid`` (:func:`sdr._sdr_kernel_grid`,
+    the same bits as one call per level); eBH, boosting and the baselines
+    draw from the generator per level in the same order.  Ratio scores build
+    one batch and run one kernel call per level.
     """
     methods = [config.method] + [f"{config.method}_{b}" for b in config.baselines]
-    # One cell per grid position, so a repeated level keeps its own row.
-    acc = {name: [{"risk": [], "reward": [], "nsel": [], "tdr": []} for _ in config.alpha_grid]
-           for name in methods}
+    level_free = config.score_mode == "risk_prediction"
+    # out[method, level, metric, replicate]: realized risk, reward per test point,
+    # selection count, total selected risk; a repeated level keeps its own position.
+    out = np.empty((len(methods), len(config.alpha_grid), 4, config.reps))
 
-    children = np.random.SeedSequence(config.seed).spawn(config.reps)
-    for child in children:
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.reps)):
         rng = np.random.default_rng(child)
         rep = _replicate(config, rng)
+        batch = _batch(config, rep, None) if level_free else None
         grid_evalues = [None] * len(config.alpha_grid)
-        if config.method == "sdr" and config.score_mode == "risk_prediction":
-            grid_evalues = _sdr_kernel_grid(_batch(config, rep, None), config.alpha_grid)[0]
+        if config.method == "sdr" and level_free:
+            grid_evalues = _sdr_kernel_grid(batch, config.alpha_grid)[0]
         for a_i, (alpha, evalues) in enumerate(zip(config.alpha_grid, grid_evalues)):
-            batch = _batch(config, rep, alpha)
-            selections = {config.method: _select(config, batch, alpha, rng, evalues)}
-            for b in config.baselines:
-                selections[f"{config.method}_{b}"] = _baseline_select(b, config, batch, alpha, rng)
-            for name, sel in selections.items():
+            level_batch = batch if level_free else _batch(config, rep, alpha)
+            selections = [_select(config, level_batch, alpha, rng, evalues)]
+            selections += [_baseline_select(b, config, level_batch, alpha, rng) for b in config.baselines]
+            for k, sel in enumerate(selections):
                 sdr_realized, total_risk, total_reward = compute_metrics(
                     sel, rep["test_risks"], rep["test_rewards"])
-                cell = acc[name][a_i]
-                cell["risk"].append(total_risk / config.m if config.method == "mdr" else sdr_realized)
-                cell["reward"].append(total_reward / config.m)
-                cell["nsel"].append(sel.size)
-                cell["tdr"].append(total_risk)
+                out[k, a_i, :, r] = (total_risk / config.m if config.method == "mdr" else sdr_realized,
+                                     total_reward / config.m, sel.size, total_risk)
 
+    means = out.mean(axis=-1)  # replicates must stay last: the rows' bits hang on the sum order
+    risk_sd = out[:, :, 0].std(axis=-1, ddof=1) if config.reps > 1 else np.zeros(means.shape[:2])
     rows = []
-    for name in methods:
-        for alpha, cell in zip(config.alpha_grid, acc[name]):
-            risk_arr = np.asarray(cell["risk"])
-            se = float(np.std(risk_arr, ddof=1) / np.sqrt(risk_arr.size)) if risk_arr.size > 1 else 0.0
+    for k, name in enumerate(methods):
+        for a_i, alpha in enumerate(config.alpha_grid):
             rows.append(MetricsRow(
                 alpha=float(alpha),
                 method=name,
@@ -510,11 +508,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                 setting=config.setting.id,
                 risk=config.risk.kind,
                 shift=config.shift.kind,
-                realized_risk=float(np.mean(risk_arr)),
-                se_risk=se,
-                mean_reward=float(np.mean(cell["reward"])),
-                mean_nsel=float(np.mean(cell["nsel"])),
-                tdr=float(np.mean(cell["tdr"])),
+                realized_risk=float(means[k, a_i, 0]),
+                se_risk=float(risk_sd[k, a_i] / np.sqrt(config.reps)),
+                mean_reward=float(means[k, a_i, 1]),
+                mean_nsel=float(means[k, a_i, 2]),
+                tdr=float(means[k, a_i, 3]),
             ))
     return rows
 

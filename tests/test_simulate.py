@@ -105,6 +105,16 @@ def test_rejection_sampling_stalls():
         rejection_sample_shifted(gen, stub, 1000, np.random.default_rng(7), max_draws=2000)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_rejection_sampling_rejects_a_count_below_one(count):
+    gen = lambda size, rng: generate_dataset(DgpSetting(1), size, rng)
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+        rejection_sample_shifted(gen, ShiftModel("w1"), count, rng)
+    # checked before any draw: the generator state is untouched
+    assert rng.uniform() == np.random.default_rng(8).uniform()
+
+
 def test_compute_metrics_examples():
     risks = [0.2, 0.4, 1.0]
     rewards = [1.0, 1.0, 1.0]
@@ -287,3 +297,26 @@ def test_run_experiment_ratio_scores_keep_one_kernel_call_per_level(monkeypatch)
     run_experiment(cfg)
     assert calls["grid"] == 0 and calls["rows"] == 0
     assert calls["level"] == cfg.reps * len(cfg.alpha_grid)
+
+
+@pytest.mark.parametrize("method, score_mode, batches_per_rep", [
+    ("sdr", "risk_prediction", 1), ("mdr", "risk_prediction", 1), ("sdr", "risk_reward_ratio", 3)])
+def test_run_experiment_builds_a_level_free_batch_once_per_replicate(monkeypatch, method, score_mode,
+                                                                     batches_per_rep):
+    # level-free scores give one batch for the grid kernel, every level's
+    # selection and the baselines; ratio scores need one batch per level
+    from score_kit import simulate
+
+    built = []
+    batch = simulate._batch
+
+    def counted(config, rep, alpha):
+        built.append(alpha)
+        return batch(config, rep, alpha)
+
+    monkeypatch.setattr(simulate, "_batch", counted)
+    cfg = _tiny_config(method=method, score_mode=score_mode, reward=RewardKind("squared"), reps=2,
+                       setting=DgpSetting(5), risk=canonical_risk(5), alpha_grid=(0.3, 0.1, 0.2),
+                       baselines=("hoeffding",))
+    run_experiment(cfg)
+    assert len(built) == cfg.reps * batches_per_rep
