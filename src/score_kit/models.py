@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# Bytes of squared distances per query block in knn_predict.
+_KNN_BLOCK_BYTES = 2**20
+
+
 class KTooLarge(ScoreKitError):
     def __init__(self, k: int, n: int) -> None:
         super().__init__(f"k={k} exceeds the {n} available training points")
@@ -60,35 +64,68 @@ def knn_fit(train_x, train_y, k: int) -> KnnRegressor:
     return KnnRegressor(x, y, int(k))
 
 
+def _knn_block(model: KnnRegressor, q: np.ndarray, train_sq: np.ndarray,
+               d2: np.ndarray) -> np.ndarray:
+    """``knn_predict`` for one block of query rows; ``train_sq`` holds the
+    training points' squared norms, and the block's squared distances are
+    built in ``d2``, a ``(len(q), n)`` buffer that every block reuses: an
+    array freed and allocated again per block costs fresh page faults."""
+    k, n = model.k, model.train_x.shape[0]
+    # Squared distances via the expansion, |q|^2 - 2 q.x + |x|^2, built in
+    # place; the |q|^2 term is rank-preserving but kept so that ties match
+    # the literal metric.
+    np.matmul(2.0 * q, model.train_x.T, out=d2)
+    np.subtract(np.sum(q * q, axis=1)[:, None], d2, out=d2)
+    d2 += train_sq
+    # Partitioning at k also places the (k+1)-th distance, at column k.
+    part = np.argpartition(d2, min(k, n - 1), axis=1)
+    chosen = np.sort(part[:, :k], axis=1)
+    chosen_d2 = np.take_along_axis(d2, chosen, axis=1)
+    nearest = np.take_along_axis(chosen, np.argsort(chosen_d2, axis=1, kind="stable"), axis=1)
+    # The chosen k are the stable-sort prefix unless the (k+1)-th distance
+    # reaches the k-th one (or that is nan); re-sort exactly those rows.
+    kth = np.max(chosen_d2, axis=1)
+    tied = np.isnan(kth)
+    if k < n:
+        tied |= np.take_along_axis(d2, part[:, k:k + 1], axis=1)[:, 0] <= kth
+    nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return model.train_y[nearest].mean(axis=1)
+
+
 def knn_predict(model: KnnRegressor, x) -> np.ndarray | float:
     """Mean of the k nearest training targets; accepts one point or a matrix.
 
     Neighbours are ranked by (squared distance, training index), so a
     distance tie at the k-th neighbour goes to the lowest training index and
-    the targets are averaged in that order.  Cost: an O(q*n) partial
-    selection plus an O(q*k log k) sort of the k chosen, for q queries
-    against n training points; only rows with a tie at the k-th distance are
-    fully sorted.
+    the targets are averaged in that order.  Queries are taken in blocks of
+    ``max(2, 2**20 // (8*n))`` rows (about 1 MiB of distances each), so for q
+    queries against n training points the cost is O(q*n) time, for the
+    partial selection, plus an O(q*k log k) sort of the k chosen, and
+    O(rows*n + q) memory.  Only rows with a tie at the k-th distance are
+    fully sorted.  A lone query keeps the matrix-vector product: BLAS may
+    round a one-row product differently from the same row of a larger one,
+    so a trailing single row joins the block before it.
+
+    Raises
+    ------
+    ValueError
+        If the query's feature count differs from the training set's.
     """
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
     q = np.atleast_2d(q)
-    k = model.k
-    # Squared distances via the expansion, |q|^2 - 2 q.x + |x|^2, built in
-    # the matmul's own buffer; the |q|^2 term is rank-preserving but kept so
-    # that ties match the literal metric.
-    d2 = 2.0 * q @ model.train_x.T
-    np.subtract(np.sum(q * q, axis=1)[:, None], d2, out=d2)
-    d2 += np.sum(model.train_x * model.train_x, axis=1)
-    chosen = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-    chosen_d2 = np.take_along_axis(d2, chosen, axis=1)
-    nearest = np.take_along_axis(chosen, np.argsort(chosen_d2, axis=1, kind="stable"), axis=1)
-    # The chosen k are the stable-sort prefix unless more than k distances
-    # reach the k-th one (or it is nan); re-sort exactly those rows.
-    kth = np.max(chosen_d2, axis=1, keepdims=True)
-    tied = np.count_nonzero(d2 <= kth, axis=1) != k
-    nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    preds = model.train_y[nearest].mean(axis=1)
+    n, dim = model.train_x.shape
+    if q.shape[1] != dim:
+        raise ValueError(f"query has {q.shape[1]} features, the model was fit on {dim}")
+    rows = max(2, _KNN_BLOCK_BYTES // (8 * n))
+    edges = list(range(0, q.shape[0], rows)) + [q.shape[0]]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    train_sq = np.sum(model.train_x * model.train_x, axis=1)
+    preds = np.empty(q.shape[0])
+    d2 = np.empty((min(q.shape[0], rows + 1), n))
+    for lo, hi in zip(edges, edges[1:]):
+        preds[lo:hi] = _knn_block(model, q[lo:hi], train_sq, d2[:hi - lo])
     return float(preds[0]) if single else preds
 
 

@@ -340,3 +340,29 @@ def per_window_sdr_kernel_grid(batch, gammas):
             largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
             evalues[g, j] = total / largest if largest > 0.0 else np.inf
     return evalues, desc_vals[i0], desc_vals[i1]
+
+
+# ---------------------------------------------------------------------------
+# One-shot reference for k-NN prediction: the whole q-by-n distance matrix in
+# one product, one partial selection and a q-by-n tie mask.  The library takes
+# the queries in bounded row blocks and reads ties from the (k+1)-th
+# neighbour; the predictions must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def one_shot_knn_predict(model, x):
+    """``knn_predict`` computed from the full distance matrix at once."""
+    q = np.asarray(x, dtype=float)
+    single = q.ndim == 1
+    q = np.atleast_2d(q)
+    k = model.k
+    d2 = 2.0 * q @ model.train_x.T
+    np.subtract(np.sum(q * q, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(model.train_x * model.train_x, axis=1)
+    chosen = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    chosen_d2 = np.take_along_axis(d2, chosen, axis=1)
+    nearest = np.take_along_axis(chosen, np.argsort(chosen_d2, axis=1, kind="stable"), axis=1)
+    kth = np.max(chosen_d2, axis=1, keepdims=True)
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    preds = model.train_y[nearest].mean(axis=1)
+    return float(preds[0]) if single else preds

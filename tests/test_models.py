@@ -1,9 +1,12 @@
 """Tests for the k-NN regressor, the logistic weight estimator and ratio scores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import per_step_loss_logistic_fit
+from helpers import one_shot_knn_predict, per_step_loss_logistic_fit
+from score_kit import models
 from score_kit import (DgpSetting, DivergedFit, KTooLarge, Levels, LogisticWeightModel, ShiftModel,
                        generate_dataset, knn_fit, knn_predict, logistic_fit_weights,
                        mdr_decide, ratio_scores, rejection_sample_shifted, sdr_evalues,
@@ -67,6 +70,70 @@ def test_knn_matches_stable_sort_reference():
             single = knn_predict(model, q[0])
             assert isinstance(single, float)
             assert single == _knn_reference(x, y, k, q[0])[0]
+
+
+BLOCK_N = 16384
+BLOCK_ROWS = max(2, models._KNN_BLOCK_BYTES // (8 * BLOCK_N))
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+@pytest.mark.parametrize("features", ["continuous", "integer-grid", "mirrored"])
+@pytest.mark.parametrize("q", sorted({0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1}))
+def test_knn_blocks_match_one_shot_reference(q, features, with_nan):
+    # n is large enough that a query block holds only a few rows, so q walks
+    # across the block edges, including a lone trailing row.  Integer-grid
+    # features tie distances exactly; mirrored ones pair the training points
+    # about the last query, so that rounding decides their ties.
+    rng = np.random.default_rng(59)
+    dim = 8
+    if features == "integer-grid":
+        x = rng.integers(-2, 3, size=(BLOCK_N, dim)).astype(float)
+        queries = rng.integers(-2, 3, size=(q, dim)).astype(float)
+    else:
+        queries = rng.normal(size=(q, dim))
+        x = rng.normal(size=(BLOCK_N, dim))
+        if features == "mirrored":
+            centre = queries[-1] if q else 0.0
+            half = x[:BLOCK_N // 2]
+            x = np.concatenate([centre + half, centre - half])
+    if with_nan:
+        # one nan training row; a nan query row ranks every neighbour as tied
+        x[int(rng.integers(BLOCK_N))] = np.nan
+        if q > 1:
+            queries[0] = np.nan
+    y = rng.normal(size=BLOCK_N)
+    for k in (1, int(rng.integers(2, BLOCK_N)), BLOCK_N):
+        model = knn_fit(x, y, k)
+        got = knn_predict(model, queries)
+        assert got.tobytes() == one_shot_knn_predict(model, queries).tobytes()
+        if q == 1:
+            single = knn_predict(model, queries[0])
+            assert np.float64(single).tobytes() == np.float64(
+                one_shot_knn_predict(model, queries[0])).tobytes()
+
+
+def test_knn_memory_is_bounded_by_the_query_block():
+    # the one-shot distance matrix, its argpartition and tie mask take more
+    # than 64 MB here
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=(2000, 20))
+    model = knn_fit(x, rng.normal(size=2000), 25)
+    queries = rng.normal(size=(2000, 20))
+    tracemalloc.start()
+    try:
+        knn_predict(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_knn_rejects_a_query_with_the_wrong_feature_count(count):
+    model = knn_fit(np.zeros((5, 2)), np.arange(5.0), k=2)
+    with pytest.raises(ValueError, match="query has 3 features, the model was fit on 2"):
+        knn_predict(model, np.ones((count, 3)))
 
 
 def test_logistic_weight_model_leaves_caller_arrays_writeable():
