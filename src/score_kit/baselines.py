@@ -8,9 +8,10 @@ indicator class, estimated from injected sign draws.  Both give
 high-probability (not exact) control and serve as power comparators.
 
 The empirical risk curve is a prefix sum over the score-sorted calibration
-data read at each grid point, so a threshold costs O((n + g) log n) time and
-O(n + g) memory for a grid of g points, plus the k-by-n sign draws the
-Rademacher variant consumes.
+data read at each grid point.  A threshold call makes one stable sort of the
+calibration scores and costs O((n + g) log n) time and O(n + g) memory for a
+grid of g points, plus O(k * n) time and memory for the k-by-n sign draws
+the Rademacher variant consumes.
 """
 
 from __future__ import annotations
@@ -65,23 +66,74 @@ def rademacher_signs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     return rng.choice(np.array([-1.0, 1.0]), size=(k, n))
 
 
-def _empirical_rademacher(scores: np.ndarray, values: np.ndarray, signs: np.ndarray) -> float:
+def _empirical_rademacher(order: np.ndarray, inner: np.ndarray, values: np.ndarray,
+                          signs: np.ndarray) -> float:
     """Average over sign draws of sup_t (1/n) sum_i sign_i * values_i * 1{s_i <= t},
     the supremum running over all real thresholds (including one below every
-    score, so each term is at least zero)."""
-    order = np.argsort(scores, kind="stable")
+    score, so each term is at least zero).
+
+    ``order`` is the stable ascending order of the scores s and ``inner``
+    marks the sorted positions that are not the last of their tie group.  As
+    in :func:`core._sorted_prefix`, a sum over "score <= t" is read at the end
+    of t's tie group: the running sums at ``inner`` positions belong to no
+    threshold and are left out of the supremum.
+    """
     partial = signs[:, order]                    # the one (k, n) array, worked in place
     partial *= values[order]
     np.cumsum(partial, axis=1, out=partial)
+    partial[:, inner] = -np.inf
     sups = np.maximum(np.max(partial, axis=1), 0.0)
-    return float(np.mean(sups)) / scores.size
+    return float(np.mean(sups)) / order.size
 
 
 def _as_signs(rng_draws, k: int, n: int) -> np.ndarray:
+    size = None if rng_draws is None else np.size(rng_draws)
+    if size != k * n:
+        raise InvalidConfig(f"the Rademacher variant needs rng_draws of {k * n} signs "
+                            f"({k} draws of {n}), got {size}")
     signs = np.asarray(rng_draws, dtype=float).reshape(k, n)
     if not np.all(np.abs(signs) == 1.0):
         raise InvalidConfig("rng_draws must contain only -1 and +1 signs")
     return signs
+
+
+def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_draws,
+                             selective: bool) -> float | None:
+    """The largest grid point whose bounded risk curve stays below ``alpha``.
+
+    The curve is the risk mass below t over n, plus its slack; ``selective``
+    divides it by a lower bound on the score mass below t (``inf`` where that
+    bound is not positive).  One stable order of the scores gives the risk
+    prefix, the Rademacher grid (the last score of each tie group), the counts
+    below each grid point and both Rademacher classes.
+    """
+    batch = validate_batch(calib)
+    n, risks = batch.n, batch.calib_risks
+    curves = 2 if selective else 1               # risk mass, then score mass
+    sorted_scores, prefix0, order = _sorted_prefix(batch.calib_scores, risks)
+
+    if config.kind == "hoeffding":
+        grid = np.linspace(0.0, 1.0, config.grid_size)
+        below = sorted_scores.searchsorted(grid, side="right")   # scores <= each grid point
+        eps = np.sqrt(np.log(2.0 * curves * config.grid_size / config.delta) / (2.0 * n))
+        slack = (eps, eps)
+    else:
+        inner = np.append(sorted_scores[1:] == sorted_scores[:-1], False)
+        below = np.flatnonzero(~inner) + 1      # the count of scores <= each tie group's last score
+        grid = sorted_scores[below - 1]
+        k = config.rademacher_draws
+        signs = _as_signs(rng_draws, curves * k, n).reshape(curves, k, n)
+        tail = 3.0 * np.sqrt(np.log(2.0 * curves / config.delta) / (2.0 * n))
+        slack = [2.0 * _empirical_rademacher(order, inner, values, block) + tail
+                 for values, block in zip((risks, np.ones(n)), signs)]
+
+    bound = prefix0[below] / n + slack[0]
+    if selective:
+        den = below / n - slack[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(den > 0.0, bound / np.maximum(den, 1e-300), np.inf)
+    ok = (bound <= alpha).nonzero()[0]
+    return float(grid[ok[-1]]) if ok.size else None
 
 
 def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
@@ -94,24 +146,7 @@ def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
     ``rng_draws`` must supply ``rademacher_draws * n`` signs in {-1, +1} for
     the Rademacher variant (unused for Hoeffding).
     """
-    batch = validate_batch(calib)
-    n = batch.n
-    scores, risks = batch.calib_scores, batch.calib_risks
-
-    if config.kind == "hoeffding":
-        grid = np.linspace(0.0, 1.0, config.grid_size)
-        eps = np.sqrt(np.log(2.0 * config.grid_size / config.delta) / (2.0 * n))
-        slack = eps
-    else:
-        grid = np.unique(scores)
-        signs = _as_signs(rng_draws, config.rademacher_draws, n)
-        rad = _empirical_rademacher(scores, risks, signs)
-        slack = 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n))
-
-    sorted_scores, prefix0 = _sorted_prefix(scores, risks)
-    mdr_hat = prefix0[np.searchsorted(sorted_scores, grid, side="right")] / n
-    ok = np.flatnonzero(mdr_hat + slack <= alpha)
-    return float(grid[ok[-1]]) if ok.size else None
+    return _concentration_threshold(calib, config, alpha, rng_draws, selective=False)
 
 
 def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
@@ -126,29 +161,4 @@ def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
     consumes ``2 * rademacher_draws * n`` signs: one block for the
     risk-weighted class, one for the indicator class.
     """
-    batch = validate_batch(calib)
-    n = batch.n
-    scores, risks = batch.calib_scores, batch.calib_risks
-
-    if config.kind == "hoeffding":
-        grid = np.linspace(0.0, 1.0, config.grid_size)
-        eps = np.sqrt(np.log(4.0 * config.grid_size / config.delta) / (2.0 * n))
-        num_slack = eps
-        den_slack = eps
-    else:
-        grid = np.unique(scores)
-        signs = _as_signs(rng_draws, 2 * config.rademacher_draws, n)
-        rad_risk = _empirical_rademacher(scores, risks, signs[:config.rademacher_draws])
-        rad_ind = _empirical_rademacher(scores, np.ones(n), signs[config.rademacher_draws:])
-        tail = 3.0 * np.sqrt(np.log(4.0 / config.delta) / (2.0 * n))
-        num_slack = 2.0 * rad_risk + tail
-        den_slack = 2.0 * rad_ind + tail
-
-    sorted_scores, prefix0 = _sorted_prefix(scores, risks)
-    below = np.searchsorted(sorted_scores, grid, side="right")   # scores <= each grid point
-    a = prefix0[below] / n + num_slack
-    b = below / n - den_slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sdr_plus = np.where(b > 0.0, a / np.maximum(b, 1e-300), np.inf)
-    ok = np.flatnonzero(sdr_plus <= alpha)
-    return float(grid[ok[-1]]) if ok.size else None
+    return _concentration_threshold(calib, config, alpha, rng_draws, selective=True)

@@ -240,9 +240,9 @@ def _as_test_arrays(tests: Iterable) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(scores, dtype=float), np.asarray(weights, dtype=float)
 
 
-def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``keys`` in stable ascending order and the running sum of ``contrib``
-    in that order, with a leading zero.
+def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``keys`` in stable ascending order, the running sum of ``contrib``
+    in that order, with a leading zero, and the order itself.
 
     ``prefix0[np.searchsorted(sorted_keys, t, side="right")]`` is then the
     sum of ``contrib`` over ``keys <= t``, for any array of thresholds ``t``:
@@ -254,7 +254,7 @@ def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, n
     order = keys.argsort(kind="stable")
     prefix0 = np.zeros(keys.size + 1)
     contrib[order].cumsum(out=prefix0[1:])
-    return keys[order], prefix0
+    return keys[order], prefix0, order
 
 
 def validate_batch(calib, tests=None) -> ValidatedBatch:

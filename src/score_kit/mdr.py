@@ -104,8 +104,8 @@ def _decide(batch: ValidatedBatch, levels: Levels) -> tuple[np.ndarray, np.ndarr
     """The MDR statistic and the deploy decision for every test point: the
     one rule behind :func:`deploy_mask`, :func:`mdr_decide` and
     :func:`weighted_mdr_decide`."""
-    sorted_scores, prefix0 = _sorted_prefix(batch.calib_scores,
-                                            batch.calib_weights * batch.calib_risks)
+    sorted_scores, prefix0, _ = _sorted_prefix(batch.calib_scores,
+                                               batch.calib_weights * batch.calib_risks)
     k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
     total_w = np.sum(batch.calib_weights) + batch.test_weights
     stats = (batch.test_weights + prefix0[k]) / total_w

@@ -97,7 +97,7 @@ def _pooled_prefix(batch: ValidatedBatch):
     scores ``<= vals[i]``.  Ties share ``A`` and ``ntest``."""
     contrib = np.zeros(batch.n + batch.m)       # tests add no calibration risk
     np.multiply(batch.calib_weights, batch.calib_risks, out=contrib[:batch.n])
-    vals, prefix0 = _sorted_prefix(np.concatenate((batch.calib_scores, batch.test_scores)), contrib)
+    vals, prefix0, _ = _sorted_prefix(np.concatenate((batch.calib_scores, batch.test_scores)), contrib)
     A = prefix0[vals.searchsorted(vals, side="right")]
     ntest = np.sort(batch.test_scores).searchsorted(vals, side="right").astype(float)
     return vals, A, ntest

@@ -444,12 +444,10 @@ def _baseline_select(kind: str, config: ExperimentConfig, batch: ValidatedBatch,
     """Indices selected by a concentration baseline at level alpha; the
     baselines read only the batch's scores and calibration risks."""
     bconf = BaselineConfig(kind=kind)
-    if config.method == "mdr":
-        draws = rademacher_signs(rng, bconf.rademacher_draws, batch.n) if kind == "rademacher" else None
-        t_hat = concentration_mdr_threshold(batch, bconf, alpha, draws)
-    else:
-        draws = rademacher_signs(rng, 2 * bconf.rademacher_draws, batch.n) if kind == "rademacher" else None
-        t_hat = concentration_sdr_threshold(batch, bconf, alpha, draws)
+    mdr = config.method == "mdr"
+    draws = (rademacher_signs(rng, (1 if mdr else 2) * bconf.rademacher_draws, batch.n)
+             if kind == "rademacher" else None)
+    t_hat = (concentration_mdr_threshold if mdr else concentration_sdr_threshold)(batch, bconf, alpha, draws)
     if t_hat is None:
         return np.empty(0, dtype=int)
     return np.flatnonzero(batch.test_scores <= t_hat)

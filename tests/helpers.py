@@ -7,7 +7,6 @@ import numpy as np
 
 from score_kit import DivergedFit, validate_batch
 from score_kit import sdr
-from score_kit.baselines import _as_signs, _empirical_rademacher
 
 # Deployed e-values sit mathematically at exactly 1/level on the decision
 # boundary (the construction is one-hot there), so thresholded comparisons
@@ -126,6 +125,15 @@ def dense_sdr_evalues_conservative(calib, tests, alpha):
     return evalues, np.full(m, t_tilde), t_hat
 
 
+def dense_empirical_rademacher(scores, values, signs):
+    """The baselines' Rademacher term: the mean over sign draws of the largest
+    of 0 (a threshold below every score) and, over every distinct score t,
+    (1/n) sum_i sign_i * values_i * 1{s_i <= t}, by direct comparison."""
+    below = scores[None, :] <= np.unique(scores)[:, None]      # distinct-score-by-n
+    sups = [max(0.0, np.max(np.sum(draw * values * below, axis=1))) for draw in signs]
+    return float(np.mean(sups)) / scores.size
+
+
 def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
     """``concentration_mdr_threshold`` from a grid-by-n comparison matrix."""
     batch = validate_batch(calib)
@@ -135,8 +143,8 @@ def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
         slack = np.sqrt(np.log(2.0 * config.grid_size / config.delta) / (2.0 * n))
     else:
         grid = np.unique(scores)
-        signs = _as_signs(rng_draws, config.rademacher_draws, n)
-        rad = _empirical_rademacher(scores, risks, signs)
+        signs = np.asarray(rng_draws, dtype=float).reshape(config.rademacher_draws, n)
+        rad = dense_empirical_rademacher(scores, risks, signs)
         slack = 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n))
     mdr_hat = np.sum(risks[None, :] * (scores[None, :] <= grid[:, None]), axis=1) / n
     ok = np.flatnonzero(mdr_hat + slack <= alpha)
@@ -153,10 +161,10 @@ def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
     else:
         grid = np.unique(scores)
         k = config.rademacher_draws
-        signs = _as_signs(rng_draws, 2 * k, n)
+        signs = np.asarray(rng_draws, dtype=float).reshape(2 * k, n)
         tail = 3.0 * np.sqrt(np.log(4.0 / config.delta) / (2.0 * n))
-        num_slack = 2.0 * _empirical_rademacher(scores, risks, signs[:k]) + tail
-        den_slack = 2.0 * _empirical_rademacher(scores, np.ones(n), signs[k:]) + tail
+        num_slack = 2.0 * dense_empirical_rademacher(scores, risks, signs[:k]) + tail
+        den_slack = 2.0 * dense_empirical_rademacher(scores, np.ones(n), signs[k:]) + tail
     below = scores[None, :] <= grid[:, None]
     a = np.sum(risks[None, :] * below, axis=1) / n + num_slack
     b = np.sum(below, axis=1) / n - den_slack

@@ -6,7 +6,8 @@ import pytest
 from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
                        concentration_sdr_threshold, rademacher_signs, validate_batch)
 from score_kit.baselines import _empirical_rademacher
-from helpers import dense_concentration_mdr_threshold, dense_concentration_sdr_threshold
+from helpers import (dense_concentration_mdr_threshold, dense_concentration_sdr_threshold,
+                     dense_empirical_rademacher)
 
 
 def _hoeffding_eps(n, grid_size, delta):
@@ -187,17 +188,41 @@ def test_thresholds_equal_dense_reference():
 
 def test_empirical_rademacher_equals_the_three_temporary_expression():
     # the gather is multiplied and summed in place: the same per-element
-    # operations as the separate product and cumsum, so the same bits; tied
-    # scores check that the stable order is kept
+    # operations as the separate product and cumsum, so the same bits on
+    # distinct scores.  Tied scores must equal the dense reference, which
+    # reads every distinct score: quarter values and +-1 signs keep each
+    # sum exact.  Two tied scores admit no threshold between them, so the
+    # +1 and -1 draw gives 0, not the 0.5 of the sum after the first.
+    tie = (np.array([0.5, 0.5]), np.ones(2), np.array([[1.0, -1.0]]))
+    assert dense_empirical_rademacher(*tie) == 0.0
+    assert _empirical_rademacher(np.arange(2), np.array([True, False]), *tie[1:]) == 0.0
     rng = np.random.default_rng(66)
     for k in range(200):
-        n, draws = int(rng.integers(1, 300)), int(rng.integers(1, 40))
-        scores = rng.integers(0, 8, size=n) / 4 if k % 2 else rng.uniform(size=n)
-        values = np.ones(n) if k % 3 == 0 else rng.uniform(size=n)
+        n, draws, tied = int(rng.integers(1, 300)), int(rng.integers(1, 40)), k % 2
+        scores = rng.integers(0, 8, size=n) / 4 if tied else rng.uniform(size=n)
+        if k % 3 == 0:
+            values = np.ones(n)
+        else:
+            values = rng.integers(0, 5, size=n) / 4 if tied else rng.uniform(size=n)
         signs = rademacher_signs(rng, draws, n)
         kept = signs.copy()
         order = np.argsort(scores, kind="stable")
-        partial = np.cumsum(signs[:, order] * values[order], axis=1)
-        want = float(np.mean(np.maximum(np.max(partial, axis=1), 0.0))) / n
-        assert _empirical_rademacher(scores, values, signs) == want
+        inner = np.append(scores[order][1:] == scores[order][:-1], False)
+        if tied:
+            want = dense_empirical_rademacher(scores, values, signs)
+        else:
+            partial = np.cumsum(signs[:, order] * values[order], axis=1)
+            want = float(np.mean(np.maximum(np.max(partial, axis=1), 0.0))) / n
+        assert _empirical_rademacher(order, inner, values, signs) == want
         assert np.array_equal(signs, kept)
+
+
+@pytest.mark.parametrize("threshold, blocks", [(concentration_mdr_threshold, 1),
+                                               (concentration_sdr_threshold, 2)])
+def test_rademacher_draws_of_the_wrong_size_raise_a_named_error(threshold, blocks):
+    calib = [(0.1, 0.2), (0.4, 0.1), (0.7, 0.3)]
+    config = BaselineConfig("rademacher", rademacher_draws=5)
+    want = blocks * 5 * 3
+    for draws, got in ((None, "None"), (np.ones(want - 1), want - 1), (np.ones(want + 1), want + 1)):
+        with pytest.raises(InvalidConfig, match=rf"needs rng_draws of {want} signs .* got {got}$"):
+            threshold(calib, config, 0.3, draws)
