@@ -65,7 +65,7 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 _LEVEL = _checked(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
+_POSITIVE_FINITE = _checked(float, lambda v: 0.0 < v < np.inf, "a positive finite number")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
@@ -199,7 +199,7 @@ def _build_parser() -> _Parser:
     p.add_argument("test", help="test CSV (score[,weight])")
     p.add_argument("--method", choices=("mdr", "sdr"), required=True)
     p.add_argument("--alpha", type=_LEVEL, required=True)
-    p.add_argument("--gamma", type=_POSITIVE, default=None, help="defaults to --alpha")
+    p.add_argument("--gamma", type=_POSITIVE_FINITE, default=None, help="defaults to --alpha")
     p.add_argument("--boost", choices=("none", "hete", "homo"), default="none")
     p.add_argument("--weighted", action="store_true", help="use the weight columns (covariate shift)")
     p.add_argument("--conservative", action="store_true", help="use the simpler conservative e-values")
@@ -210,7 +210,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evalues", help="emit selective e-values without filtering")
     p.add_argument("calib")
     p.add_argument("test")
-    p.add_argument("--gamma", type=_POSITIVE, default=None)
+    p.add_argument("--gamma", type=_POSITIVE_FINITE, default=None)
     p.add_argument("--alpha", type=_LEVEL, default=None, help="level for --conservative")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--conservative", action="store_true")
@@ -243,8 +243,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="feature CSV from the calibration population")
     p.add_argument("target", help="feature CSV from the test population")
     p.add_argument("--query", default=None, help="feature CSV to score (default: the target file)")
-    p.add_argument("--lr", type=_checked(float, lambda v: 0.0 < v < np.inf, "a positive finite number"),
-                   default=0.1)
+    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.1)
     p.add_argument("--iters", type=_COUNT, default=500)
     p.add_argument("--clip", default="0.05,20", help="weight clip bounds 'LO,HI'",
                    type=_checked(_floats, lambda c: len(c) == 2 and 0.0 < c[0] < c[1],

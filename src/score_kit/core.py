@@ -110,6 +110,12 @@ class TestPoint:
     weight: float = 1.0
 
 
+def _check_gamma(gamma) -> None:
+    """Reject a calibration level that is not a positive finite number."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be {'finite' if gamma > 0.0 else 'positive'}, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class Levels:
     """Target level ``alpha`` and internal calibration level ``gamma``.
@@ -126,8 +132,7 @@ class Levels:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.gamma is None:
             object.__setattr__(self, "gamma", float(self.alpha))
-        elif not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)

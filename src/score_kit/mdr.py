@@ -13,9 +13,10 @@ with ``t(ell)`` the largest pooled score whose empirical risk estimate
     F(t; ell) = [sum_i L_i 1{s_i <= t} + ell * 1{s_test <= t}] / (n + 1)
 
 stays below ``gamma``.  For ``gamma <= alpha`` the thresholded decision
-reduces exactly to one comparison,
+reduces exactly to one comparison, with ``tol = 1e-12``
+(``sdr._BOUNDARY_TOL``), the tolerance of every feasibility test,
 
-    deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma.
+    deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma + tol.
 
 For ``gamma > alpha`` a no-crossing condition over the pooled thresholds
 joins it.  The weighted variants replace every calibration term by its
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Levels, ValidatedBatch, _sorted_prefix, validate_batch
+from .core import Levels, ValidatedBatch, _check_gamma, _sorted_prefix, validate_batch
 from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _require_unit_weights, _sdr_kernel
 
 __all__ = [
@@ -85,12 +86,13 @@ def _no_crossing(test_weights: np.ndarray, levels: Levels, sorted_scores: np.nda
     values attained at actual thresholds count, so tied scores share the
     final value of their tie group; the test point's own threshold adds the
     prefix up to its score, ``prefix0[k]``.  The condition asks whether some
-    prefix value P <= gamma * T_j has w_j + P > alpha * T_j.  The tie-grouped
-    prefixes are nondecreasing and fl(w_j + P) is monotone in P, so the
-    largest P <= gamma * T_j (one binary search) decides it exactly.
+    prefix value P <= cap_j = (gamma + _BOUNDARY_TOL) * T_j has w_j + P >
+    alpha * T_j.  The tie-grouped prefixes are nondecreasing and fl(w_j + P)
+    is monotone in P, so one binary search for the largest P <= cap_j
+    decides it exactly.
     """
     tied_prefix = prefix0[np.searchsorted(sorted_scores, sorted_scores, side="right")]
-    cap = levels.gamma * total_w
+    cap = (levels.gamma + _BOUNDARY_TOL) * total_w
     floor = levels.alpha * total_w
     below = np.searchsorted(tied_prefix, cap, side="right")
     p_max = tied_prefix[np.maximum(below - 1, 0)]
@@ -109,7 +111,7 @@ def _decide(batch: ValidatedBatch, levels: Levels) -> tuple[np.ndarray, np.ndarr
     k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
     total_w = np.sum(batch.calib_weights) + batch.test_weights
     stats = (batch.test_weights + prefix0[k]) / total_w
-    mask = stats <= levels.gamma
+    mask = stats <= levels.gamma + _BOUNDARY_TOL
     if levels.gamma > levels.alpha:
         mask &= _no_crossing(batch.test_weights, levels, sorted_scores, prefix0, k, total_w)
     return stats, mask
@@ -184,8 +186,7 @@ def weighted_mdr_evalue_oracle(calib, test, gamma: float,
 
 def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
                          ell_grid_size: int, ell_set) -> float:
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    _check_gamma(gamma)
     s_test = batch.test_scores[0]
     w_test = batch.test_weights[0]
     total_w = w_test + float(np.sum(batch.calib_weights))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidatedBatch, _freeze_views, _sorted_prefix, validate_batch
+from .core import ValidatedBatch, _check_gamma, _freeze_views, _sorted_prefix, validate_batch
 
 __all__ = [
     "SdrEvalueSet",
@@ -60,6 +60,12 @@ __all__ = [
     "sdr_evalues_conservative",
     "sdr_evalues_at",
 ]
+
+# The library's one feasibility rule: a risk estimate is feasible at level
+# gamma when it is at most gamma + _BOUNDARY_TOL.  The infimum is attained at
+# breakpoints where the estimate equals gamma in real arithmetic, and the
+# tolerance keeps them feasible when rounding lifts the estimate above gamma.
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,13 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     fl((A + w_j) / ntest * f_j)``, with ``f_j = m / total_w``; below ``s_j``
     both are ``fl(A / (1 + ntest) * f_j)``.  A locator returns the descending
     positions of ``t(0)`` and ``t(1)`` per level and point, ``size`` meaning
-    none.  Both locators decide exactly these comparisons, so they give the
-    same positions, and a grid gives the bits of one call per level.  Non-unit
-    weights take :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level,
-    plus a slice for each point whose ``t(1)`` lies more than 64 positions
-    below ``t(0)``.  Unit weights, and any grid with a subnormal level, take
-    :func:`_pointwise_positions`, ``O(n+m)`` per point and level, which the
-    keyed locator's tests also take as their reference.
+    none.  Both locators compare exactly these ratios with the level's bound
+    ``gamma + _BOUNDARY_TOL``, so they give the same positions, and a grid
+    gives the bits of one call per level.  Non-unit weights take
+    :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level, plus a slice
+    for each point whose ``t(1)`` lies more than 64 positions below ``t(0)``.
+    Unit weights take :func:`_pointwise_positions`, ``O(n+m)`` per point and
+    level, which the keyed locator's tests also take as their reference.
 
     Unit weights keep the loop for one reason.  Faster locators with the same
     bits exist: a slice form of the loop, or, since every point then shares
@@ -147,19 +153,16 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     """
     gammas = tuple(gammas)
     for gamma in gammas:
-        if not gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma!r}")
+        _check_gamma(gamma)
+    bounds = tuple(gamma + _BOUNDARY_TOL for gamma in gammas)
     m, size = batch.m, batch.n + batch.m
     vals, desc_vals, desc_A, ntest = _descending_prefix(batch)
     w = batch.test_weights
     total_w = float(batch.calib_weights.sum()) + w
     factor = m / total_w
     K = size - vals.searchsorted(batch.test_scores, side="left")
-    # A subnormal level's rounding gap spans many ulps of gamma / f_j, which
-    # _ratio_bounds does not search.
-    keyed = not batch.has_unit_weights and all(gamma >= _SMALLEST_NORMAL for gamma in gammas)
-    locate = _keyed_positions if keyed else _pointwise_positions
-    i0, i1 = locate(gammas, desc_A, ntest, w, factor, K)
+    locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
+    i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
 
     covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
     one = covered & (i0 == i1)
@@ -170,8 +173,8 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
         # holds t(1), so it is never empty.
         starts = i0[g_win, j_win]
         stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
-        per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], factor[j_win], w[j_win],
-                             total_w[j_win]))
+        per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], np.asarray(bounds)[g_win],
+                             factor[j_win], w[j_win], total_w[j_win]))
         evalues[g_win, j_win] = _window_evalues(desc_A, ntest, m, starts, stops, per_pair)
     return evalues, desc_vals[i0], desc_vals[i1]
 
@@ -182,7 +185,7 @@ def _window_evalues(A, ntest, m: int, starts, stops, per_pair):
     over the window's ``ell = 0`` feasible positions.
 
     Window ``p`` holds the descending positions ``starts[p]`` to
-    ``stops[p]``; ``per_pair`` stacks its ``(gamma, f_j, w_j, total_w)``.
+    ``stops[p]``; ``per_pair`` stacks its ``(gamma, bound, f_j, w_j, total_w)``.
     The windows are laid end to end and every position takes the per-window
     float expressions element by element; infeasible positions drop out as
     ``-inf`` and ``np.maximum.reduceat`` takes each window's maximum, which
@@ -201,8 +204,8 @@ def _window_evalues(A, ntest, m: int, starts, stops, per_pair):
         hi = max(lo + 1, ends.searchsorted(head + A.size, side="right"))
         if hi == lo + 1:                         # a slice, its pair's values as scalars
             at = slice(starts[lo], stops[lo])
-            gamma, f, wj, total = per_pair[:, lo].tolist()
-            feasible, value = _window_terms(A[at], ntest[at], m, gamma, f, wj, total)
+            gamma, bound, f, wj, total = per_pair[:, lo].tolist()
+            feasible, value = _window_terms(A[at], ntest[at], m, gamma, bound, f, wj, total)
             largest = value[feasible].max()
             evalues[lo] = total / largest if largest > 0.0 else np.inf
         else:
@@ -214,20 +217,20 @@ def _window_evalues(A, ntest, m: int, starts, stops, per_pair):
             largest = np.maximum.reduceat(np.where(feasible, value, -np.inf), marks)
             e = evalues[lo:hi]
             e.fill(np.inf)
-            np.divide(per_pair[3, lo:hi], largest, out=e, where=largest > 0.0)
+            np.divide(per_pair[4, lo:hi], largest, out=e, where=largest > 0.0)
         lo = hi
     return evalues
 
 
-def _window_terms(a, nt, m: int, gamma, f, wj, total):
+def _window_terms(a, nt, m: int, gamma, bound, f, wj, total):
     """``(feasible, value)`` at window positions with prefix ``a`` and test
-    count ``nt``: ``fl(a / nt * f_j) <= gamma`` and ``w_j * clip(ell_bar, 0,
-    1) + a``, where ``ell_bar`` solves ``FR_j(t; ell) = gamma``."""
+    count ``nt``: ``fl(a / nt * f_j) <= bound`` and ``w_j * clip(ell_bar, 0,
+    1) + a``, where ``ell_bar`` solves ``FR_j(t; ell) = gamma``, not bound."""
     value = (gamma * total * nt / m - a) / wj    # ell_bar
     value.clip(0.0, 1.0, out=value)
     value *= wj
     value += a
-    return a / nt * f <= gamma, value
+    return a / nt * f <= bound, value
 
 
 def _descending_prefix(batch: ValidatedBatch):
@@ -244,7 +247,7 @@ def _descending_prefix(batch: ValidatedBatch):
     return vals, *desc
 
 
-def _pointwise_positions(gammas: tuple, A, ntest, w, factor, K):
+def _pointwise_positions(bounds: tuple, A, ntest, w, factor, K):
     """The locator as one ``O(n+m)`` pass per test point.
 
     The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
@@ -254,7 +257,7 @@ def _pointwise_positions(gammas: tuple, A, ntest, w, factor, K):
     keeps ``FR_j(t; 1) >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)``
     down.
     """
-    i0 = np.empty((len(gammas), K.size), dtype=np.intp)
+    i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
     den = 1.0 + ntest                            # 1 + #{tests <= t}
     for j, (k, wj, f) in enumerate(zip(K.tolist(), w.tolist(), factor.tolist())):
@@ -266,28 +269,25 @@ def _pointwise_positions(gammas: tuple, A, ntest, w, factor, K):
         fr1 += A
         fr1 /= denom
         fr1 *= f
-        for g, gamma in enumerate(gammas):
-            a = i0[g, j] = (fr0 <= gamma).argmax()
-            i1[g, j] = a + (fr1[a:] <= gamma).argmax()
+        for g, bound in enumerate(bounds):
+            a = i0[g, j] = (fr0 <= bound).argmax()
+            i1[g, j] = a + (fr1[a:] <= bound).argmax()
     return i0, i1
 
 
-_SMALLEST_NORMAL = np.finfo(float).smallest_normal
-
-
-def _ratio_bounds(gamma: float, factor: np.ndarray) -> np.ndarray:
+def _ratio_bounds(bound: float, factor: np.ndarray) -> np.ndarray:
     """Per ``f`` in ``factor``, the largest double ``x`` with ``fl(x * f) <=
-    gamma``, for a normal ``gamma``.  Rounding keeps ``fl(x * f)`` monotone in
-    ``x``, so ``fl(x * f) <= gamma`` exactly when ``x`` is at most this
-    bound.  ``gamma / f`` rounds to one of the two doubles around the real
-    quotient: the one below always fits, and the rounding gap above ``gamma``
-    is under one ulp of the quotient, so no double beyond the one above
-    does."""
-    x = gamma / factor
+    bound``, for a normal ``bound``: the kernel's is never below 1e-12.
+    Rounding keeps ``fl(x * f)`` monotone in ``x``, so ``fl(x * f) <= bound``
+    exactly when ``x`` is at most the result.  ``bound / f`` rounds to one of
+    the two doubles around the real quotient: the one below always fits, and
+    the rounding gap above ``bound`` is under one ulp of the quotient, so no
+    double beyond the one above does."""
+    x = bound / factor
     # Positive doubles order like their int64 bit patterns, so -1 / +1 on the
     # bits steps to the neighbouring double.
-    bits = x.view(np.int64) - (x * factor > gamma)
-    return (bits + ((bits + 1).view(np.float64) * factor <= gamma)).view(np.float64)
+    bits = x.view(np.int64) - (x * factor > bound)
+    return (bits + ((bits + 1).view(np.float64) * factor <= bound)).view(np.float64)
 
 
 def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -312,9 +312,9 @@ def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.nd
 _BLOCK = np.arange(64)
 
 
-def _first_feasible_at_one(gamma: float, A, ntest, w, factor, lo, K):
+def _first_feasible_at_one(bound: float, A, ntest, w, factor, lo, K):
     """``(position, found)``: per point, the first position in ``[lo, K)``
-    where ``ell = 1`` is feasible, ``fl((A + w_j) / ntest * f_j) <= gamma``,
+    where ``ell = 1`` is feasible, ``fl((A + w_j) / ntest * f_j) <= bound``,
     and whether there is one (``lo`` where not).
 
     ``t(1)`` sits a few positions below ``t(0)``, so the first ``64``
@@ -327,20 +327,20 @@ def _first_feasible_at_one(gamma: float, A, ntest, w, factor, lo, K):
     position, found, rest = lo.copy(), np.zeros(lo.size, dtype=bool), lo
     if lo.size > 1:
         at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
-        feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= gamma
+        feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= bound
         first = feasible.argmax(axis=1)
         rows = np.arange(lo.size)
         position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
     for p in ((rest < K) > found).nonzero()[0].tolist():
         start, k = rest.item(p), K.item(p)
-        feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= gamma
+        feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= bound
         d = feasible.argmax()
         if feasible[d]:
             position[p], found[p] = start + d, True
     return position, found
 
 
-def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
+def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
     """The locator with ``t(0)`` found for every point from keys free of j.
 
     On covered positions ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A /
@@ -348,7 +348,7 @@ def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
     (1 + ntest)``.  Neither key depends on ``j``, and ``fl(x * f_j)`` is
     monotone in ``x``, so a position is feasible at ``ell = 0`` exactly when
     its key is at most ``R_j``, the largest double with ``fl(R_j * f_j) <=
-    gamma`` (:func:`_ratio_bounds`).  Per level:
+    bound`` (:func:`_ratio_bounds`).  Per level:
 
     * ``t(0)``'s position is one ``searchsorted`` of ``R`` on the running
       minimum of ``r``, kept when it lies below ``K_j``;
@@ -365,21 +365,21 @@ def _keyed_positions(gammas: tuple, A, ntest, w, factor, K):
     Memory is ``O(n+m)``: the blocks run over at most ``(n+m+1) / 64``
     points at a time.
     """
-    i0 = np.empty((len(gammas), K.size), dtype=np.intp)
+    i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
     kmax = K.max(initial=0)                      # positions no point covers are left out
     neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
     per_block = max(1, A.size // _BLOCK.size)    # points per block: about A.size positions
-    for g, gamma in enumerate(gammas):
-        R = _ratio_bounds(gamma, factor)
+    for g, bound in enumerate(bounds):
+        R = _ratio_bounds(bound, factor)
         a = neg_min_r.searchsorted(-R)           # the first r <= R
         hit = a < K
         b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= gamma)).nonzero()[0]
+        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= bound)).nonzero()[0]
         for c in range(0, scan.size, per_block):
             part = scan[c:c + per_block]
-            b[part], found = _first_feasible_at_one(gamma, A, ntest, w[part], factor[part],
+            b[part], found = _first_feasible_at_one(bound, A, ntest, w[part], factor[part],
                                                     b[part], K[part])
             late[part] = ~found
         late = late.nonzero()[0]
@@ -431,12 +431,6 @@ def weighted_sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
 # feasible one and evaluate the objective.  They share no code with the
 # kernel above and exist to verify it.
 # ---------------------------------------------------------------------------
-
-# Feasibility guard: the infimum is attained at breakpoints where the
-# estimated risk equals gamma exactly in real arithmetic; the guard keeps
-# those boundary thresholds feasible under floating-point rounding.
-# sdr_evalues_at shares it, so it equals the oracle at ell_set=(ell,).
-_BOUNDARY_TOL = 1e-12
 
 
 def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> np.ndarray:
@@ -504,8 +498,7 @@ def sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int = 1001,
 def weighted_sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int = 1001,
                                 ell_set=None) -> SdrEvalueSet:
     """Weighted analogue of :func:`sdr_evalues_oracle`."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    _check_gamma(gamma)
     batch = validate_batch(calib, tests)
     rows = [_weighted_sdr_oracle_one(batch, j, gamma, ell_grid_size, ell_set) for j in range(batch.m)]
     # The reshape keeps three columns when there are no test points.
@@ -535,19 +528,18 @@ def sdr_evalues_at(calib, tests, gamma: float, ell: float) -> np.ndarray:
     ``ell`` (no infimum), for unit weights.  ``ell = 1`` gives the variant
     that, for binary risks with ``gamma`` equal to the eBH level, makes eBH
     selection coincide with BH on clipped conformal p-values."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    _check_gamma(gamma)
     if not (0.0 <= ell <= 1.0):
         raise ValueError(f"ell must lie in [0, 1], got {ell!r}")
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues_at")
     vals, A, ntest = _pooled_prefix(batch)
     factor = batch.m / (batch.n + 1.0)
+    bound = gamma + _BOUNDARY_TOL
     # 1 + #{other tests <= t} is 1 + ntest below s_j and ntest (>= 1) from s_j on.
     with np.errstate(divide="ignore", invalid="ignore"):
-        hat, covered = _own_term_threshold(vals, batch.test_scores,
-                                           A / (1.0 + ntest) * factor <= gamma + _BOUNDARY_TOL,
-                                           (ell + A) / ntest * factor <= gamma + _BOUNDARY_TOL)
+        hat, covered = _own_term_threshold(vals, batch.test_scores, A / (1.0 + ntest) * factor <= bound,
+                                           (ell + A) / ntest * factor <= bound)
         return np.where(covered, (batch.n + 1.0) / (ell + A[hat]), 0.0)
 
 
@@ -559,8 +551,8 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
         e_j = 1{s_j <= t_hat_j} / #{test scores <= t_tilde} * m / alpha,
 
     where ``t_hat_j`` is the largest pooled score whose estimated selective
-    risk (counting the test point's own risk as 1) stays below ``alpha`` and
-    ``t_tilde`` is its analogue without the test term.  The e-value is zero
+    risk (with the test point's own risk as 1) is at most ``alpha + 1e-12``
+    and ``t_tilde`` is its analogue without the test term.  The e-value is zero
     when ``t_hat_j`` does not exist or no test score falls below ``t_tilde``.
     """
     if not (0.0 < alpha < 1.0):
@@ -570,13 +562,14 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     n, m = batch.n, batch.m
     # Ties share risk_sum and test_count, so no rule below splits a group.
     thresholds, risk_sum, test_count = _pooled_prefix(batch)
+    bound = alpha + _BOUNDARY_TOL
 
     def feasible(numerator: np.ndarray) -> np.ndarray:
         # With no test points the factor is 0 and inf * 0 is nan: infeasible.
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
                              np.where(numerator > 0, np.inf, 0.0))
-            return ratio * (m / (n + 1.0)) <= alpha
+            return ratio * (m / (n + 1.0)) <= bound
 
     plain = feasible(risk_sum)
     hat, covered = _own_term_threshold(thresholds, batch.test_scores, plain, feasible(risk_sum + 1.0))

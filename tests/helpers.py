@@ -54,6 +54,24 @@ def random_sdr_instance(rng, max_n=12, max_m=12, tied=False, weighted=False,
     return list(zip(cs, risks)), list(ts)
 
 
+BOUNDARY_GAMMAS = (0.1, 0.2, 0.25, 0.3, 0.5)
+
+
+def boundary_instance(rng, weighted):
+    """``(calib, tests, gamma)`` where risk estimates often equal a level in
+    real arithmetic but round a few ulps off it: 0.1-grid scores, risks in
+    quarters, half-integer weights when ``weighted``.  Unit instances come as
+    (score, risk) pairs and bare scores."""
+    n, m = int(rng.integers(1, 16)), int(rng.integers(1, 7))
+    cs, ts = rng.integers(0, 11, size=n) / 10, rng.integers(0, 11, size=m) / 10
+    risks = rng.integers(0, 5, size=n) / 4
+    gamma = float(rng.choice(BOUNDARY_GAMMAS))
+    if weighted:
+        wc, wt = rng.integers(1, 5, size=n) / 2, rng.integers(1, 5, size=m) / 2
+        return list(zip(cs, risks, wc)), list(zip(ts, wt)), gamma
+    return list(zip(cs, risks)), list(ts), gamma
+
+
 def exchangeable_pairs(rng, n, m, kind="smooth"):
     """Draw n+m exchangeable (score, risk) pairs with risk tied to score.
 
@@ -109,7 +127,7 @@ def dense_sdr_evalues_conservative(calib, tests, alpha):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
                              np.where(numerator > 0, np.inf, 0.0))
-        feasible = np.flatnonzero(ratio * (m / (n + 1.0)) <= alpha)
+        feasible = np.flatnonzero(ratio * (m / (n + 1.0)) <= alpha + sdr._BOUNDARY_TOL)
         return float(thresholds[feasible[-1]]) if feasible.size else np.nan
 
     t_tilde = largest_feasible(risk_sum)
@@ -244,8 +262,8 @@ def attained_breakpoint_sdr_kernel(calib, tests, gamma):
         factor = m / total_w
         fr0 = A / denom * factor
         fr1 = (A + wj * covers) / denom * factor
-        feas0 = fr0 <= gamma
-        feas1 = fr1 <= gamma
+        feas0 = fr0 <= gamma + sdr._BOUNDARY_TOL
+        feas1 = fr1 <= gamma + sdr._BOUNDARY_TOL
 
         idx0 = np.flatnonzero(feas0)
         if idx0.size:
@@ -330,9 +348,9 @@ def per_window_sdr_kernel_grid(batch, gammas):
     total_w = float(batch.calib_weights.sum()) + w
     factor = m / total_w
     K = size - vals.searchsorted(batch.test_scores, side="left")
-    keyed = not batch.has_unit_weights and all(g >= sdr._SMALLEST_NORMAL for g in gammas)
-    locate = sdr._keyed_positions if keyed else sdr._pointwise_positions
-    i0, i1 = locate(gammas, desc_A, ntest, w, factor, K)
+    bounds = [gamma + sdr._BOUNDARY_TOL for gamma in gammas]
+    locate = sdr._pointwise_positions if batch.has_unit_weights else sdr._keyed_positions
+    i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
 
     covered = i1 < K
     one = covered & (i0 == i1)
@@ -343,7 +361,7 @@ def per_window_sdr_kernel_grid(batch, gammas):
         starts = i0[g_win, j_win]
         for g, j, a, b in zip(g_win.tolist(), j_win.tolist(), starts.tolist(), stops.tolist()):
             gamma, wj, total = gammas[g], w.item(j), total_w.item(j)
-            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= gamma).nonzero()[0]
+            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= bounds[g]).nonzero()[0]
             ell_bar = (gamma * total * ntest[win] / m - desc_A[win]) / wj
             largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
             evalues[g, j] = total / largest if largest > 0.0 else np.inf

@@ -402,8 +402,11 @@ def test_flags_the_command_would_ignore_are_usage_errors(fixture_files, capsys, 
     ["estimate-weights", "{calib}", "{calib}", "--clip", "5,1"],
     ["estimate-weights", "{calib}", "{calib}", "--iters", "-3"],
     ["estimate-weights", "{calib}", "{calib}", "--lr", "-1"],
+    ["select", "{calib}", "{test}", "--method", "mdr", "--alpha", "0.3", "--gamma", "inf"],
+    ["evalues", "{calib}", "{test}", "--weighted", "--gamma", "inf"],
 ], ids=["select-seed", "evalues-conservative-alpha", "simulate-seed", "simulate-n", "simulate-reps",
-        "simulate-alphas", "estimate-weights-clip", "estimate-weights-iters", "estimate-weights-lr"])
+        "simulate-alphas", "estimate-weights-clip", "estimate-weights-iters", "estimate-weights-lr",
+        "select-gamma-inf", "evalues-weighted-gamma-inf"])
 def test_out_of_range_option_values_are_usage_errors(fixture_files, capsys, argv):
     calib, test = fixture_files
     assert main([a.format(calib=calib, test=test) for a in argv]) == 1

@@ -112,6 +112,8 @@ def test_levels():
         Levels(1.5)
     with pytest.raises(ValueError):
         Levels(0.3, -0.1)
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        Levels(0.3, float("inf"))
 
 
 def test_read_calibration_csv(tmp_path):

@@ -6,19 +6,53 @@ import pytest
 from score_kit import (Levels, TestPoint, ValidatedBatch, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
                        validate_batch, weighted_mdr_decide, weighted_mdr_evalue,
                        weighted_mdr_evalue_oracle)
-from helpers import (exchangeable_pairs, mc_bound_ok, random_mdr_instance,
+from score_kit.sdr import _BOUNDARY_TOL
+from helpers import (boundary_instance, exchangeable_pairs, mc_bound_ok, random_mdr_instance,
                      risk_evalue_products, thresholded)
 
 PROP1_CALIB = [(0.1, 0.2), (0.2, 0.4), (0.9, 1.0)]
 
 
-@pytest.mark.xfail(strict=True, reason="the kernel compares 1.5 * 0.2 = 0.30000000000000004 "
-                   "with a bare <= gamma, while the oracle allows a 1e-12 tolerance")
 def test_decide_evalue_agrees_with_oracle_at_a_rounding_boundary():
     calib = [(2, 0), (1, 0.5), (5, 0.75), (2, 1)]
     decision = mdr_decide(calib, 1.0, Levels(0.3, 0.3))
     assert decision.deploy
     assert decision.evalue_lower_bound == pytest.approx(mdr_evalue_oracle(calib, 1.0, 0.3), rel=1e-9)
+
+
+def test_evalue_agrees_with_oracle_and_decision_at_rounding_boundaries():
+    # Tied, dyadic single-point instances, compared with no nudge of the
+    # level: the e-value equals the oracle's, and at gamma == alpha it
+    # reaches 1 / alpha (up to REL_GUARD) exactly when the point is deployed.
+    rng = np.random.default_rng(48)
+    deployed = 0
+    for k in range(1500):
+        calib, tests, gamma = boundary_instance(rng, weighted=k % 2 == 1)
+        if k % 2:
+            test = TestPoint(*tests[0])
+            e = weighted_mdr_evalue(calib, test, gamma)
+            want = weighted_mdr_evalue_oracle(calib, test, gamma, ell_grid_size=2)
+            d = weighted_mdr_decide(calib, test, Levels(gamma))
+        else:
+            e = mdr_evalue(calib, tests[0], gamma)
+            want = mdr_evalue_oracle(calib, tests[0], gamma, ell_grid_size=2)
+            d = mdr_decide(calib, tests[0], Levels(gamma))
+        assert e == pytest.approx(want, rel=1e-9, abs=1e-9), (calib, tests[0], gamma)
+        assert d.evalue_lower_bound == e and d.deploy == thresholded(e, gamma), (calib, tests[0], gamma)
+        deployed += d.deploy
+    assert deployed >= 300, deployed
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: Levels(0.2, g),
+    lambda g: mdr_evalue([(0.1, 0.0), (0.2, 0.5)], 0.05, g),
+    lambda g: weighted_mdr_evalue([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], TestPoint(0.05, 1.0), g),
+    lambda g: mdr_evalue_oracle([(0.1, 0.0), (0.2, 0.5)], 0.05, g),
+    lambda g: weighted_mdr_evalue_oracle([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], TestPoint(0.05, 1.0), g),
+], ids=["levels", "evalue", "weighted-evalue", "oracle", "weighted-oracle"])
+def test_a_non_finite_level_is_a_named_error(call):
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        call(np.inf)
 
 
 def test_decide_worked_example():
@@ -224,7 +258,8 @@ def _no_crossing_per_point(batch, j, levels):
     prefix = raw_prefix[np.searchsorted(sorted_scores, sorted_scores, side="right") - 1]
     k = np.searchsorted(sorted_scores, batch.test_scores[j], side="right")
     p_values = np.append(prefix, prefix[k - 1] if k > 0 else 0.0)
-    bad = (p_values <= levels.gamma * total_w) & (wj + p_values > levels.alpha * total_w)
+    feasible = p_values <= (levels.gamma + _BOUNDARY_TOL) * total_w
+    bad = feasible & (wj + p_values > levels.alpha * total_w)
     return not bool(np.any(bad))
 
 

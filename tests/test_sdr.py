@@ -13,7 +13,7 @@ from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, sdr_evalues, sdr_evalu
                        weighted_sdr_evalues, weighted_sdr_evalues_oracle)
 from score_kit import sdr as sdr_module
 from score_kit.sdr import _sdr_kernel, _sdr_kernel_grid
-from helpers import (attained_breakpoint_sdr_kernel, dense_sdr_evalues_conservative,
+from helpers import (attained_breakpoint_sdr_kernel, boundary_instance, dense_sdr_evalues_conservative,
                      exchangeable_pairs, mc_bound_ok, per_window_sdr_kernel_grid, random_sdr_instance,
                      risk_evalue_products)
 
@@ -81,6 +81,27 @@ def test_kernel_matches_oracle_random():
         fast = sdr_evalues(calib, tests, gamma).evalues
         slow = sdr_evalues_oracle(calib, tests, gamma, ell_grid_size=101).evalues
         assert _agree(fast, slow), (calib, tests, gamma, fast, slow)
+
+
+def test_kernel_agrees_with_the_oracle_at_rounding_boundaries():
+    # Tied, dyadic instances whose risk estimates land on a level up to
+    # rounding.  The kernel's e-values are compared as they come, with no
+    # nudge of the level: both sides apply the one feasibility rule.  The
+    # oracle's grid of 2 adds only the endpoints to its exact breakpoints.
+    rng = np.random.default_rng(47)
+    points = nonzero = 0
+    for k in range(1500):
+        calib, tests, gamma = boundary_instance(rng, weighted=k % 2 == 1)
+        if k % 2:
+            got = weighted_sdr_evalues(calib, tests, gamma).evalues
+            want = weighted_sdr_evalues_oracle(calib, tests, gamma, ell_grid_size=2).evalues
+        else:
+            got = sdr_evalues(calib, tests, gamma).evalues
+            want = sdr_evalues_oracle(calib, tests, gamma, ell_grid_size=2).evalues
+        assert _agree(got, want), (calib, tests, gamma, got, want)
+        points += len(tests)
+        nonzero += int(np.count_nonzero(got))
+    assert points >= 5000 and nonzero >= 1000, (points, nonzero)
 
 
 def test_weighted_kernel_matches_weighted_oracle_random():
@@ -211,7 +232,8 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
     # Non-unit weights take the keyed locator and unit weights the loop; on
     # either kind of instance both give the same positions of t(0) and t(1)
     # from the same inputs, so the loop can retire once the unit-weight
-    # locator is loop-free.
+    # locator is loop-free.  Every grid also holds the subnormal level
+    # 5e-324, whose bound is 1e-12.
     keyed, loop = sdr_module._keyed_positions, sdr_module._pointwise_positions
     compared = []
 
@@ -233,7 +255,7 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
         batch = validate_batch(calib, tests)
         if batch.has_unit_weights != (weights == "unit"):
             continue
-        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2))
+        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2), 5e-324)
         ev, t0, t1 = _sdr_kernel_grid(batch, gammas)
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
@@ -324,10 +346,10 @@ def test_kernel_takes_the_keyed_path_for_non_unit_weights_only(monkeypatch):
     weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [0.05, 0.3], 0.3)
     weighted_sdr_evalues([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0), (0.3, 1.0)], 0.3)
     weighted_sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [(0.05, 1.0), (0.3, 0.5)], 0.3)
-    # a subnormal level anywhere in the grid sends it through the loop
+    # a subnormal level's bound, gamma + 1e-12, is normal: the keyed path
     _sdr_kernel_grid(validate_batch([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)]), (0.3, 5e-324))
     assert calls == ["_pointwise_positions", "_keyed_positions", "_keyed_positions",
-                     "_pointwise_positions"]
+                     "_keyed_positions"]
 
 
 def test_ratio_bounds_are_the_largest_fitting_doubles():
@@ -358,6 +380,21 @@ def test_conservative_with_no_test_points_is_empty_and_silent():
         warnings.simplefilter("error")
         res = sdr_evalues_conservative([(0.1, 0.2), (0.5, 0.5)], [], alpha=0.2)
     assert res.evalues.shape == res.thresholds_at_1.shape == (0,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: _sdr_kernel_grid(validate_batch([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)]), (0.3, g)),
+    lambda g: weighted_sdr_evalues([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)], g),
+    lambda g: sdr_evalues([(0.1, 0.0), (0.2, 0.5)], [0.05], g),
+    lambda g: weighted_sdr_evalues_oracle([(0.1, 0.0, 2.0), (0.2, 0.5, 1.0)], [(0.05, 1.0)], g),
+    lambda g: sdr_evalues_oracle([(0.1, 0.0), (0.2, 0.5)], [0.05], g),
+    lambda g: sdr_evalues_at([(0.1, 0.0), (0.2, 0.5)], [0.05], g, ell=1.0),
+], ids=["kernel-grid", "weighted", "unweighted", "weighted-oracle", "oracle", "fixed-ell"])
+def test_a_non_finite_level_is_a_named_error(call):
+    # Its bound gamma + 1e-12 would stay inf, and the weighted kernel would
+    # compute nan keys from it.
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        call(np.inf)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, float("nan")])
@@ -566,17 +603,19 @@ def test_kernel_runtime_scaling():
     rng = np.random.default_rng(29)
     m = 40
 
-    def timed(n):
-        calib = list(zip(rng.normal(size=n), rng.uniform(size=n)))
-        tests = list(rng.normal(size=m))
-        best = np.inf
-        for _ in range(5):
-            t0 = time.perf_counter()
-            sdr_evalues(calib, tests, gamma=0.3)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def instance(n):
+        return list(zip(rng.normal(size=n), rng.uniform(size=n))), list(rng.normal(size=m))
 
-    timed(4000)  # warm up
-    t_small = timed(20_000)
-    t_big = timed(40_000)
+    def timed(calib, tests):
+        t0 = time.perf_counter()
+        sdr_evalues(calib, tests, gamma=0.3)
+        return time.perf_counter() - t0
+
+    timed(*instance(4000))  # warm up
+    small, big = instance(20_000), instance(40_000)
+    # The sizes alternate within each round, so a burst of load hits both alike.
+    t_small = t_big = np.inf
+    for _ in range(5):
+        t_small = min(t_small, timed(*small))
+        t_big = min(t_big, timed(*big))
     assert t_big <= 2.5 * t_small, (t_small, t_big)
