@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class OutOfRange(ScoreKitError):
 
 
 class SchemaError(ScoreKitError):
-    """A CSV file does not match the expected schema.  Carries the file's
-    path and a line number, and names both in its message."""
+    """A CSV file, or an item of a batch, does not match its schema.  For a
+    file, carries its path and a line number, and names both in its message."""
 
     def __init__(self, message: str, line: int | None = None, path=None) -> None:
         self.line = line
@@ -204,45 +205,31 @@ def _column(rows: np.ndarray, name: str) -> np.ndarray:
     return np.array(rows[name], dtype=float)
 
 
-def _is_columnar(items) -> bool:
-    return isinstance(items, np.ndarray) and items.dtype.names is not None
-
-
-def _as_calib_arrays(calib: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if _is_columnar(calib):
-        return _column(calib, "score"), _column(calib, "risk"), _column(calib, "weight")
-    scores, risks, weights = [], [], []
-    for item in calib:
-        if isinstance(item, CalibSample):
-            scores.append(item.score)
-            risks.append(item.risk)
-            weights.append(item.weight)
+def _as_columns(items, fields: tuple, record) -> list[np.ndarray]:
+    """One contiguous float copy per name of ``fields`` for one side of a
+    batch, in the forms :func:`validate_batch` lists; the last field is
+    ``weight``, and a missing one means 1."""
+    if isinstance(items, np.ndarray):
+        if items.dtype.names is not None:
+            return [_column(items, name) for name in fields]
+        items = items.tolist()                   # Python numbers read faster
+    k, record_fields = len(fields), attrgetter(*fields)
+    flat = []
+    for i, item in enumerate(items):
+        if isinstance(item, record):
+            row = record_fields(item)
+        elif isinstance(item, (tuple, list)):
+            row = item[:k]
+        elif np.isscalar(item) or getattr(item, "ndim", None) == 0:   # a bare score
+            row = (item,)
         else:
-            t = tuple(item)
-            scores.append(t[0])
-            risks.append(t[1])
-            weights.append(t[2] if len(t) > 2 else 1.0)
-    return (np.asarray(scores, dtype=float),
-            np.asarray(risks, dtype=float),
-            np.asarray(weights, dtype=float))
-
-
-def _as_test_arrays(tests: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    if _is_columnar(tests):
-        return _column(tests, "score"), _column(tests, "weight")
-    scores, weights = [], []
-    for item in tests:
-        if isinstance(item, TestPoint):
-            scores.append(item.score)
-            weights.append(item.weight)
-        elif np.isscalar(item) or getattr(item, "ndim", None) == 0:   # 0-d arrays too
-            scores.append(float(item))
-            weights.append(1.0)
-        else:
-            t = tuple(item)
-            scores.append(t[0])
-            weights.append(t[1] if len(t) > 1 else 1.0)
-    return np.asarray(scores, dtype=float), np.asarray(weights, dtype=float)
+            row = tuple(item)[:k]
+        if len(row) < k - 1:
+            kind = "calibration" if record is CalibSample else "test"
+            raise SchemaError(f"{kind} item at index {i} has {len(row)} field(s), "
+                              f"expected ({', '.join(fields[:-1])}[, weight])")
+        flat.extend(row if len(row) == k else (*row, 1.0))
+    return list(np.array(flat, dtype=float).reshape(-1, k).T.copy())
 
 
 def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,16 +252,17 @@ def _sorted_prefix(keys: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, n
 def validate_batch(calib, tests=None) -> ValidatedBatch:
     """Validate calibration samples and test points into a :class:`ValidatedBatch`.
 
-    Accepts sequences of :class:`CalibSample` / :class:`TestPoint`, plain
-    tuples ``(score, risk[, weight])`` / ``(score[, weight])``, bare test
-    scores, or the structured arrays returned by :func:`read_calibration_csv`
-    / :func:`read_test_csv` (read column by column; a missing ``weight``
-    field means unit weights).  Passing an existing :class:`ValidatedBatch`
-    returns it unchanged (validation is idempotent).
+    Accepts sequences of :class:`CalibSample` / :class:`TestPoint`, tuples
+    or 2-d array rows ``(score, risk[, weight])`` / ``(score[, weight])``,
+    bare test scores, or the structured arrays returned by
+    :func:`read_calibration_csv` / :func:`read_test_csv`; a missing weight
+    means 1.  Passing an existing :class:`ValidatedBatch` returns it
+    unchanged (validation is idempotent).
 
     Raises
     ------
-    EmptyCalibration, RiskOutOfRange, NonPositiveWeight, NonFiniteScore
+    EmptyCalibration, RiskOutOfRange, NonPositiveWeight, NonFiniteScore,
+    SchemaError (an item short of a field), OutOfRange (a weight scale that overflows)
     """
     if isinstance(calib, ValidatedBatch):
         if tests is not None:
@@ -283,8 +271,8 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
     if tests is None:
         tests = []
 
-    cs, cr, cw = _as_calib_arrays(calib)
-    ts, tw = _as_test_arrays(tests)
+    cs, cr, cw = _as_columns(calib, ("score", "risk", "weight"), CalibSample)
+    ts, tw = _as_columns(tests, ("score", "weight"), TestPoint)
 
     if cs.size == 0:
         raise EmptyCalibration()
@@ -298,6 +286,15 @@ def validate_batch(calib, tests=None) -> ValidatedBatch:
         raise NonFiniteScore(int(i), float(ts[i]), kind="test")
     for i in np.flatnonzero(~(np.isfinite(tw) & (tw > 0.0))):
         raise NonPositiveWeight(int(i), float(tw[i]), kind="test")
+    # Decisions depend on the weights only up to a common factor: reject a scale
+    # at which a weight total times n + m + 1, or n + m + 1 over one, overflows.
+    size = cs.size + ts.size + 1
+    with np.errstate(over="ignore"):
+        total = cw.sum()
+        scale = ((total + tw.max(initial=0.0)) * size, size / (total + tw.min(initial=np.inf)))
+    if not np.isfinite(scale).all():
+        raise OutOfRange(f"the weights are too {'large' if np.isinf(scale[0]) else 'small'}: decisions "
+                         "depend on them only up to a common factor, so rescale them all by one")
 
     return ValidatedBatch(cs, cr, cw, ts, tw)
 

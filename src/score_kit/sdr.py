@@ -166,16 +166,18 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
 
     covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
     one = covered & (i0 == i1)
-    evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
-    g_win, j_win = (covered > one).nonzero()
-    if g_win.size:
-        # The window runs from t(0) down to the end of t(1)'s tie group; it
-        # holds t(1), so it is never empty.
-        starts = i0[g_win, j_win]
-        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
-        per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], np.asarray(bounds)[g_win],
-                             factor[j_win], w[j_win], total_w[j_win]))
-        evalues[g_win, j_win] = _window_evalues(desc_A, ntest, m, starts, stops, per_pair)
+    # An e-value, or an ell_bar, beyond the largest double reads inf.
+    with np.errstate(over="ignore"):
+        evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
+        g_win, j_win = (covered > one).nonzero()
+        if g_win.size:
+            # The window runs from t(0) down to the end of t(1)'s tie group;
+            # it holds t(1), so it is never empty.
+            starts = i0[g_win, j_win]
+            stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
+            per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], np.asarray(bounds)[g_win],
+                                 factor[j_win], w[j_win], total_w[j_win]))
+            evalues[g_win, j_win] = _window_evalues(desc_A, ntest, m, starts, stops, per_pair)
     return evalues, desc_vals[i0], desc_vals[i1]
 
 

@@ -85,6 +85,24 @@ def test_select_weighted_requires_weight_column(fixture_files, capsys):
     assert "weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["mdr", "sdr"])
+def test_select_weights_whose_total_overflows_exit_2(tmp_path, capsys, method):
+    calib = _write(tmp_path / "calib.csv",
+                   "score,risk,weight\n0.1,0.2,1e308\n0.5,0.9,1e308\n0.2,0.1,1e308\n")
+    test = _write(tmp_path / "test.csv", "score,weight\n0.3,1e308\n")
+    assert main(["select", calib, test, "--method", method, "--alpha", "0.2", "--weighted"]) == 2
+    assert "rescale" in capsys.readouterr().err
+
+
+def test_evalue_beyond_the_largest_double_prints_inf(tmp_path, capsys):
+    calib = _write(tmp_path / "calib.csv", "score,risk,weight\n0.1,0,1e-310\n0.1,0,1\n")
+    test = _write(tmp_path / "test.csv", "score,weight\n0.3,1e-310\n")
+    assert main(["evalues", calib, test, "--gamma", "0.1", "--weighted"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "index,score,evalue\r\n0,0.29999999999999999,inf\r\n"
+    assert captured.err == ""
+
+
 def test_select_without_random_draws_prints_no_seed(fixture_files, tmp_path, capsys):
     calib, test = fixture_files
     out = str(tmp_path / "out.csv")

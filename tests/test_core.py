@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import sys
 import threading
 
@@ -11,7 +12,8 @@ import pytest
 from score_kit import (CalibSample, EmptyCalibration, Levels, NonFiniteScore,
                        NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler,
                        SchemaError, TestPoint, ValidatedBatch, read_calibration_csv, read_test_csv,
-                       rescale_risk, unrescale, validate_batch)
+                       rescale_risk, unrescale, validate_batch, weighted_mdr_decide,
+                       weighted_sdr_evalues)
 from score_kit.core import _CSV_BLOCK, _write_csv
 from helpers import csv_reference_columns, csv_reference_write
 
@@ -57,6 +59,106 @@ def test_validate_batch_nonfinite_score():
         validate_batch([(np.inf, 0.2)], [])
     with pytest.raises(NonFiniteScore):
         validate_batch([(0.1, 0.2)], [np.nan])
+
+
+def _seeded_sides(unit):
+    """Seeded (scores, risks, weights) and (scores, weights); non-unit
+    weights are 1 at every odd index, where a short form may leave them out."""
+    rng = np.random.default_rng(2026)
+    cs, cr, ts = rng.normal(size=37), rng.uniform(size=37), rng.normal(size=11)
+    cw, tw = (np.where((np.arange(k) % 2 == 1) | unit, 1.0, rng.uniform(0.1, 5.0, k)) for k in (37, 11))
+    return (cs, cr, cw), (ts, tw)
+
+
+def _records(calib, tests, tmp_path):
+    return ([CalibSample(*row) for row in zip(*(a.tolist() for a in calib))],
+            [TestPoint(*row) for row in zip(*(a.tolist() for a in tests))])
+
+
+def _mixed_tuples(calib, tests, tmp_path):
+    """3-field calibration tuples where the weight is not 1, 2-field lists
+    elsewhere; test points as (score, weight), (score,) or a bare float."""
+    short = (lambda s, w: (s, w), lambda s, w: (s,), lambda s, w: s)
+    return ([(s, r, w) if w != 1.0 else [s, r] for s, r, w in zip(*(a.tolist() for a in calib))],
+            [(s, w) if w != 1.0 else short[i % 3](s, w)
+             for i, (s, w) in enumerate(zip(*(a.tolist() for a in tests)))])
+
+
+def _numpy_arrays(calib, tests, tmp_path):
+    """(n, 2) / (n, 3) arrays, and a 1-d array of test scores for unit weights."""
+    unit = (calib[2] == 1.0).all() and (tests[1] == 1.0).all()
+    return ((np.column_stack(calib[:2]), tests[0]) if unit
+            else (np.column_stack(calib), np.column_stack(tests)))
+
+
+def _numpy_scalars(calib, tests, tmp_path):
+    """Rows of a 2-d array, and test points as NumPy scalars and 0-d arrays
+    where the weight is 1, 1-d arrays elsewhere."""
+    ts, tw = tests
+    return (list(np.column_stack(calib)),
+            [np.array([s, w]) if w != 1.0 else np.array(s) if i % 2 else s
+             for i, (s, w) in enumerate(zip(ts, tw))])
+
+
+def _csv_files(calib, tests, tmp_path):
+    """The structured arrays of the CSV readers, with a weight column only
+    for non-unit weights."""
+    unit = (calib[2] == 1.0).all() and (tests[1] == 1.0).all()
+    headers = (["score", "risk"], ["score"]) if unit else (["score", "risk", "weight"], ["score", "weight"])
+    paths = tmp_path / "calib.csv", tmp_path / "test.csv"
+    for path, header, columns in zip(paths, headers, (calib, tests)):
+        _write_csv(path, header, columns[:len(header)])
+    return read_calibration_csv(paths[0]), read_test_csv(paths[1])
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("form", [_records, _mixed_tuples, _numpy_arrays, _numpy_scalars, _csv_files])
+def test_every_input_form_gives_the_same_batch(tmp_path, form, unit):
+    calib, tests = _seeded_sides(unit)
+    batch = validate_batch(*form(calib, tests, tmp_path))
+    arrays = (batch.calib_scores, batch.calib_risks, batch.calib_weights,
+              batch.test_scores, batch.test_weights)
+    for got, expected in zip(arrays, (*calib, *tests)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("calib, tests, message", [
+    ([(0.1, 0.2), (0.5,)], [], "calibration item at index 1 has 1 field(s), expected (score, risk[, weight])"),
+    ([0.5], [], "calibration item at index 0 has 1 field(s), expected (score, risk[, weight])"),
+    ([(0.1, 0.2)], [0.3, ()], "test item at index 1 has 0 field(s), expected (score[, weight])"),
+], ids=["short-calibration-tuple", "bare-calibration-score", "empty-test-tuple"])
+def test_short_item_is_a_schema_error_naming_its_index(calib, tests, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        validate_batch(calib, tests)
+
+
+def test_extra_trailing_fields_are_ignored():
+    batch = validate_batch([(0.1, 0.2, 2.0, "id-7")], [(0.3, 0.5, "id-8")])
+    assert batch.calib_weights.tolist() == [2.0] and batch.test_weights.tolist() == [0.5]
+
+
+OVERFLOW_CALIB = [(0.1, 0.2, 1e308), (0.5, 0.9, 1e308), (0.2, 0.1, 1e308)]
+
+
+def test_weights_whose_total_overflows_are_rejected():
+    for call in (lambda: validate_batch(OVERFLOW_CALIB, [(0.3, 1e308)]),
+                 lambda: weighted_mdr_decide(OVERFLOW_CALIB, (0.3, 1e308), Levels(0.2)),
+                 lambda: weighted_sdr_evalues(OVERFLOW_CALIB, [(0.3, 1e308)], 0.2)):
+        with pytest.raises(OutOfRange, match="too large.*rescale"):
+            call()
+    # Divided by 4 the total times n + m + 1 = 5 is 5e308, still too large;
+    # divided by 16 it passes and gives the decision of unit weights.
+    scaled = [(s, r, w / 16) for s, r, w in OVERFLOW_CALIB]
+    decision = weighted_mdr_decide(scaled, (0.3, 1e308 / 16), Levels(0.2))
+    assert not decision.deploy and decision.empirical_stat == pytest.approx(0.325)
+
+
+def test_weights_too_small_to_divide_by_are_rejected():
+    with pytest.raises(OutOfRange, match="too small.*rescale"):
+        validate_batch([(0.1, 0.0, 1e-310), (0.1, 0.0, 1e-310)], [(0.3, 1e-310)])
+    # A subnormal test weight beside a normal total passes.
+    validate_batch([(0.1, 0.0, 1e-310), (0.1, 0.0, 1.0)], [(0.3, 1e-310)])
 
 
 def test_batch_arrays_are_read_only():

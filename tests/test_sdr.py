@@ -447,6 +447,26 @@ def test_weight_scale_invariance():
             assert _agree(base, scaled, tol=1e-12)
 
 
+def test_power_of_two_weight_scales_give_the_same_bits():
+    # A power of two rescales every weight, sum and ratio exactly, down to
+    # 2**-1000 and up to 2**1000, inside the scale validate_batch accepts.
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        calib, tests = random_sdr_instance(rng, weighted=True)
+        gamma = float(rng.uniform(0.05, 0.95))
+        base = weighted_sdr_evalues(calib, tests, gamma).evalues
+        for c in (2.0 ** -1000, 2.0 ** 1000):
+            scaled = weighted_sdr_evalues([(s, r, w * c) for s, r, w in calib],
+                                          [(t, w * c) for t, w in tests], gamma).evalues
+            assert scaled.tobytes() == base.tobytes()
+
+
+def test_evalue_beyond_the_largest_double_reads_inf():
+    # The e-value is about 1e310; the suite's filter makes a RuntimeWarning an error.
+    calib = [(0.1, 0.0, 1e-310), (0.1, 0.0, 1.0)]
+    assert weighted_sdr_evalues(calib, [(0.3, 1e-310)], 0.1).evalues.tolist() == [np.inf]
+
+
 def test_zero_propagation_from_diagnostics():
     rng = np.random.default_rng(25)
     for _ in range(150):
