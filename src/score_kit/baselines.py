@@ -66,26 +66,6 @@ def rademacher_signs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     return rng.choice(np.array([-1.0, 1.0]), size=(k, n))
 
 
-def _empirical_rademacher(order: np.ndarray, inner: np.ndarray, values: np.ndarray,
-                          signs: np.ndarray) -> float:
-    """Average over sign draws of sup_t (1/n) sum_i sign_i * values_i * 1{s_i <= t},
-    the supremum running over all real thresholds (including one below every
-    score, so each term is at least zero).
-
-    ``order`` is the stable ascending order of the scores s and ``inner``
-    marks the sorted positions that are not the last of their tie group.  As
-    in :func:`core._sorted_prefix`, a sum over "score <= t" is read at the end
-    of t's tie group: the running sums at ``inner`` positions belong to no
-    threshold and are left out of the supremum.
-    """
-    partial = signs[:, order]                    # the one (k, n) array, worked in place
-    partial *= values[order]
-    np.cumsum(partial, axis=1, out=partial)
-    partial[:, inner] = -np.inf
-    sups = np.maximum(np.max(partial, axis=1), 0.0)
-    return float(np.mean(sups)) / order.size
-
-
 def _as_signs(rng_draws, k: int, n: int) -> np.ndarray:
     size = None if rng_draws is None else np.size(rng_draws)
     if size != k * n:
@@ -106,6 +86,13 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
     bound is not positive).  One stable order of the scores gives the risk
     prefix, the Rademacher grid (the last score of each tie group), the counts
     below each grid point and both Rademacher classes.
+
+    A class's Rademacher term is the mean over its sign draws of sup_t (1/n)
+    sum_i sign_i * value_i * 1{s_i <= t}, the supremum running over all real
+    t (one below every score gives 0); the risk class takes the risks as
+    values, the score-mass class ones.  As in :func:`core._sorted_prefix`, a
+    sum over "score <= t" is read at the end of t's tie group: the running
+    sums at ``inner`` positions belong to no threshold and are left out.
     """
     batch = validate_batch(calib)
     n, risks = batch.n, batch.calib_risks
@@ -122,10 +109,13 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
         below = np.flatnonzero(~inner) + 1      # the count of scores <= each tie group's last score
         grid = sorted_scores[below - 1]
         k = config.rademacher_draws
-        signs = _as_signs(rng_draws, curves * k, n).reshape(curves, k, n)
+        partial = _as_signs(rng_draws, curves * k, n)[:, order]   # the one array, worked in place
+        partial[:k] *= risks[order]
+        np.cumsum(partial, axis=1, out=partial)
+        partial[:, inner] = -np.inf
+        sups = np.maximum(np.max(partial, axis=1), 0.0).reshape(curves, k)
         tail = 3.0 * np.sqrt(np.log(2.0 * curves / config.delta) / (2.0 * n))
-        slack = [2.0 * _empirical_rademacher(order, inner, values, block) + tail
-                 for values, block in zip((risks, np.ones(n)), signs)]
+        slack = [2.0 * (float(np.mean(row)) / n) + tail for row in sups]
 
     bound = prefix0[below] / n + slack[0]
     if selective:

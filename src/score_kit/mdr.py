@@ -195,20 +195,19 @@ def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
     wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
     covers = (s_test <= thresholds).astype(float)
 
-    breakpoints = (gamma * total_w - wl_sum) / w_test
-    ells = _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set)
-
     best = np.inf
-    for ell in ells:
-        f = (wl_sum + w_test * ell * covers) / total_w
-        feasible = np.flatnonzero(f <= gamma + _BOUNDARY_TOL)
-        if feasible.size == 0:
-            return 0.0
-        t = thresholds[feasible[-1]]
-        if s_test > t:
-            return 0.0
-        denom = wl_sum[feasible[-1]] + w_test * ell
-        best = min(best, total_w / denom if denom > 0.0 else np.inf)
+    with np.errstate(over="ignore"):             # an overflowing breakpoint or e-value reads inf
+        breakpoints = (gamma * total_w - wl_sum) / w_test
+        for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
+            f = (wl_sum + w_test * ell * covers) / total_w
+            feasible = np.flatnonzero(f <= gamma + _BOUNDARY_TOL)
+            if feasible.size == 0:
+                return 0.0
+            t = thresholds[feasible[-1]]
+            if s_test > t:
+                return 0.0
+            denom = wl_sum[feasible[-1]] + w_test * ell
+            best = min(best, total_w / denom if denom > 0.0 else np.inf)
     return float(best)
 
 

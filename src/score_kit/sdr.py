@@ -162,12 +162,12 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     factor = m / total_w
     K = size - vals.searchsorted(batch.test_scores, side="left")
     locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
-    i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
-
-    covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
-    one = covered & (i0 == i1)
-    # An e-value, or an ell_bar, beyond the largest double reads inf.
+    # An e-value, an ell_bar or a ratio bound beyond the largest double reads
+    # inf; a ratio bound then steps down to the largest double.
     with np.errstate(over="ignore"):
+        i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
+        covered = i1 < K                         # s_j <= t(1); the sentinel is never covered
+        one = covered & (i0 == i1)
         evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
         g_win, j_win = (covered > one).nonzero()
         if g_win.size:
@@ -284,7 +284,9 @@ def _ratio_bounds(bound: float, factor: np.ndarray) -> np.ndarray:
     exactly when ``x`` is at most the result.  ``bound / f`` rounds to one of
     the two doubles around the real quotient: the one below always fits, and
     the rounding gap above ``bound`` is under one ulp of the quotient, so no
-    double beyond the one above does."""
+    double beyond the one above does.  A quotient beyond the largest double
+    reads ``inf`` and steps down to the largest double, which is right: every
+    finite ``x`` then fits."""
     x = bound / factor
     # Positive doubles order like their int64 bit patterns, so -1 / +1 on the
     # bits steps to the neighbouring double.
@@ -322,17 +324,14 @@ def _first_feasible_at_one(bound: float, A, ntest, w, factor, lo, K):
     ``t(1)`` sits a few positions below ``t(0)``, so the first ``64``
     positions of every point are scanned as one ``(points, 64)`` block,
     with positions past ``K_j - 1`` read as ``K_j - 1`` (a repeat cannot
-    come first).  Only a point whose block holds no feasible position and
-    stops short of ``K_j`` scans the rest of its slice; a lone point scans
-    its slice at once.
+    come first), however few the points.  Only a point whose block holds no
+    feasible position and stops short of ``K_j`` scans the rest of its slice.
     """
-    position, found, rest = lo.copy(), np.zeros(lo.size, dtype=bool), lo
-    if lo.size > 1:
-        at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
-        feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= bound
-        first = feasible.argmax(axis=1)
-        rows = np.arange(lo.size)
-        position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
+    at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
+    feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= bound
+    first = feasible.argmax(axis=1)
+    rows = np.arange(lo.size)
+    position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
     for p in ((rest < K) > found).nonzero()[0].tolist():
         start, k = rest.item(p), K.item(p)
         feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= bound
@@ -357,8 +356,8 @@ def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
     * where ``ell = 1`` is feasible there too, ``t(1) = t(0)``, for all such
       points at once;
     * every other covered point seeks ``t(1)`` in ``[t(0), K_j)``: the first
-      64 positions of all of them as one block, then the rest of the slice
-      only for the points whose block holds none
+      64 positions of all of them, a lone point too, as one block, then the
+      rest of the slice only for the points whose block holds none
       (:func:`_first_feasible_at_one`);
     * a point with no feasible covered threshold at ``ell = 0`` or ``1``
       takes the first position from ``K_j`` on with ``q <= R_j``
@@ -470,14 +469,15 @@ def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
 
     t0, t1 = (float(thresholds[i]) if i >= 0 else np.nan
               for i in (last_feasible(0.0), last_feasible(1.0)))
-    breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
     best = np.inf
-    for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
-        i = last_feasible(ell)
-        if i < 0 or sj > thresholds[i]:
-            return 0.0, t0, t1
-        denom = wj * ell + wl_sum[i]
-        best = min(best, total_w / denom if denom > 0.0 else np.inf)
+    with np.errstate(over="ignore"):             # an overflowing breakpoint or e-value reads inf
+        breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
+        for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
+            i = last_feasible(ell)
+            if i < 0 or sj > thresholds[i]:
+                return 0.0, t0, t1
+            denom = wj * ell + wl_sum[i]
+            best = min(best, total_w / denom if denom > 0.0 else np.inf)
     return float(best), t0, t1
 
 

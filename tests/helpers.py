@@ -192,6 +192,31 @@ def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
     return float(grid[ok[-1]]) if ok.size else None
 
 
+def three_temporary_rademacher_curve(calib, config, rng_draws, selective):
+    """``(grid, bound)``: the Rademacher variant's thresholds and bounded risk
+    curve for distinct scores, each class's term from three temporaries (the
+    gathered product, its cumsum and each draw's maximum).  Every score is
+    its own tie group, so the running sums are the curve and every position
+    is a threshold.  The baselines pick the last grid point whose bound is at
+    most ``alpha``."""
+    batch = validate_batch(calib)
+    n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
+    curves = 2 if selective else 1
+    order = np.argsort(scores, kind="stable")
+    signs = np.asarray(rng_draws, dtype=float).reshape(curves, config.rademacher_draws, n)
+    tail = 3.0 * np.sqrt(np.log(2.0 * curves / config.delta) / (2.0 * n))
+    slack = []
+    for values, draws in zip((risks, np.ones(n)), signs):
+        partial = np.cumsum(draws[:, order] * values[order], axis=1)
+        slack.append(2.0 * (float(np.mean(np.maximum(np.max(partial, axis=1), 0.0))) / n) + tail)
+    bound = np.cumsum(risks[order]) / n + slack[0]
+    if selective:
+        den = np.arange(1, n + 1) / n - slack[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(den > 0.0, bound / np.maximum(den, 1e-300), np.inf)
+    return scores[order], bound
+
+
 # ---------------------------------------------------------------------------
 # Per-step-loss reference for the logistic weight fit, which evaluates the
 # loss once after its last step; coefficients and loss must match bit for bit.

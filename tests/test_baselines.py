@@ -5,9 +5,8 @@ import pytest
 
 from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
                        concentration_sdr_threshold, rademacher_signs, validate_batch)
-from score_kit.baselines import _empirical_rademacher
 from helpers import (dense_concentration_mdr_threshold, dense_concentration_sdr_threshold,
-                     dense_empirical_rademacher)
+                     three_temporary_rademacher_curve)
 
 
 def _hoeffding_eps(n, grid_size, delta):
@@ -186,35 +185,36 @@ def test_thresholds_equal_dense_reference():
     assert found >= 1000
 
 
-def test_empirical_rademacher_equals_the_three_temporary_expression():
-    # the gather is multiplied and summed in place: the same per-element
-    # operations as the separate product and cumsum, so the same bits on
-    # distinct scores.  Tied scores must equal the dense reference, which
-    # reads every distinct score: quarter values and +-1 signs keep each
-    # sum exact.  Two tied scores admit no threshold between them, so the
-    # +1 and -1 draw gives 0, not the 0.5 of the sum after the first.
-    tie = (np.array([0.5, 0.5]), np.ones(2), np.array([[1.0, -1.0]]))
-    assert dense_empirical_rademacher(*tie) == 0.0
-    assert _empirical_rademacher(np.arange(2), np.array([True, False]), *tie[1:]) == 0.0
+def test_rademacher_thresholds_equal_the_three_temporary_expression():
+    # Both classes are gathered, multiplied and summed in place: the same
+    # per-element operations as a separate product and cumsum, so the same
+    # bits on distinct scores.  Each instance also takes levels equal to a
+    # point's bound, where one ulp of slack would move the threshold.
     rng = np.random.default_rng(66)
+    boundary = 0
     for k in range(200):
-        n, draws, tied = int(rng.integers(1, 300)), int(rng.integers(1, 40)), k % 2
-        scores = rng.integers(0, 8, size=n) / 4 if tied else rng.uniform(size=n)
-        if k % 3 == 0:
-            values = np.ones(n)
-        else:
-            values = rng.integers(0, 5, size=n) / 4 if tied else rng.uniform(size=n)
-        signs = rademacher_signs(rng, draws, n)
+        n, draws = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+        calib = list(zip(rng.uniform(size=n), rng.uniform(size=n)))
+        config = BaselineConfig("rademacher", delta=float(rng.uniform(0.01, 0.5)), rademacher_draws=draws)
+        signs = rademacher_signs(rng, 2 * draws, n)
         kept = signs.copy()
-        order = np.argsort(scores, kind="stable")
-        inner = np.append(scores[order][1:] == scores[order][:-1], False)
-        if tied:
-            want = dense_empirical_rademacher(scores, values, signs)
-        else:
-            partial = np.cumsum(signs[:, order] * values[order], axis=1)
-            want = float(np.mean(np.maximum(np.max(partial, axis=1), 0.0))) / n
-        assert _empirical_rademacher(order, inner, values, signs) == want
+        for threshold, block, selective in ((concentration_mdr_threshold, signs[:draws], False),
+                                            (concentration_sdr_threshold, signs, True)):
+            grid, bound = three_temporary_rademacher_curve(calib, config, block, selective)
+            levels = bound[(bound > 0.0) & (bound < 1.0)]
+            for alpha in (*rng.choice(levels, size=min(2, levels.size)), float(rng.uniform(0.05, 0.95))):
+                ok = np.flatnonzero(bound <= alpha)
+                want = float(grid[ok[-1]]) if ok.size else None
+                assert threshold(calib, config, alpha, block) == want, (k, selective, alpha)
+            boundary += min(2, levels.size)
         assert np.array_equal(signs, kept)
+    assert boundary >= 300, boundary
+    # Two tied scores admit no threshold between them, so the +1 and -1 draw
+    # gives a Rademacher term of 0, not the 0.5 of the sum after the first:
+    # the bound at 0.5 is then exactly 1 + tail.
+    config = BaselineConfig("rademacher", rademacher_draws=1)
+    tail = 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * 2))
+    assert concentration_mdr_threshold([(0.5, 1.0), (0.5, 1.0)], config, 1.0 + tail, [1.0, -1.0]) == 0.5
 
 
 @pytest.mark.parametrize("threshold, blocks", [(concentration_mdr_threshold, 1),

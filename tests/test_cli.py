@@ -103,6 +103,17 @@ def test_evalue_beyond_the_largest_double_prints_inf(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_evalue_at_a_huge_level_prints_no_warning(tmp_path, capsys):
+    # The ratio bound overflows and steps down to the largest double, where
+    # every finite ratio is feasible.
+    calib = _write(tmp_path / "calib.csv", "score,risk,weight\n0.0,0.5,1e300\n")
+    test = _write(tmp_path / "test.csv", "score,weight\n0.5,0.5\n")
+    assert main(["evalues", calib, test, "--gamma", "1e300", "--weighted"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "index,score,evalue\r\n0,0.5,2\r\n"
+    assert captured.err == ""
+
+
 def test_select_without_random_draws_prints_no_seed(fixture_files, tmp_path, capsys):
     calib, test = fixture_files
     out = str(tmp_path / "out.csv")

@@ -10,7 +10,8 @@ import pytest
 
 from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, sdr_evalues, sdr_evalues_at,
                        sdr_evalues_conservative, sdr_evalues_oracle, validate_batch,
-                       weighted_sdr_evalues, weighted_sdr_evalues_oracle)
+                       weighted_mdr_evalue, weighted_mdr_evalue_oracle, weighted_sdr_evalues,
+                       weighted_sdr_evalues_oracle)
 from score_kit import sdr as sdr_module
 from score_kit.sdr import _sdr_kernel, _sdr_kernel_grid
 from helpers import (attained_breakpoint_sdr_kernel, boundary_instance, dense_sdr_evalues_conservative,
@@ -233,7 +234,9 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
     # either kind of instance both give the same positions of t(0) and t(1)
     # from the same inputs, so the loop can retire once the unit-weight
     # locator is loop-free.  Every grid also holds the subnormal level
-    # 5e-324, whose bound is 1e-12.
+    # 5e-324, whose bound is 1e-12.  Weighted runs add lone test points
+    # beside a few hundred calibration points; a heavy one puts t(1) beyond
+    # the first 64 positions below t(0), past the ell = 1 search's block.
     keyed, loop = sdr_module._keyed_positions, sdr_module._pointwise_positions
     compared = []
 
@@ -248,18 +251,30 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
     monkeypatch.setattr(sdr_module, "_pointwise_positions", both)
     rng = np.random.default_rng(44)
     checked = windowed = 0
+    lone = [0, 0]                                # windowed lone points: t(1) inside, beyond the block
     for k in range(1600):
-        calib, tests = _kernel_instance(rng, k)
-        if weights == "unit":
-            calib, tests = [c[:2] for c in calib], [t[0] for t in tests]
-        batch = validate_batch(calib, tests)
+        if weights == "non-unit" and k % 8 == 7:
+            b = _informative_batch(rng, int(rng.integers(100, 400)), 1, tied=k % 16 == 7, weighted=True)
+            batch = ValidatedBatch(b.calib_scores, b.calib_risks, b.calib_weights, b.test_scores,
+                                   b.test_weights * (1.0, 100.0)[k // 8 % 2])
+        else:
+            calib, tests = _kernel_instance(rng, k)
+            if weights == "unit":
+                calib, tests = [c[:2] for c in calib], [t[0] for t in tests]
+            batch = validate_batch(calib, tests)
         if batch.has_unit_weights != (weights == "unit"):
             continue
         gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2), 5e-324)
         ev, t0, t1 = _sdr_kernel_grid(batch, gammas)
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
+        if batch.m == 1 and batch.n >= 100:
+            vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
+            gap = vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
+            for far in (False, True):
+                lone[far] += int(np.count_nonzero((ev > 0.0) & (gap > 0) & ((gap >= 64) == far)))
     assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
+    assert weights == "unit" or min(lone) >= 20, lone
 
 
 def _window_length(batch, evalues, t0, t1):
@@ -465,6 +480,17 @@ def test_evalue_beyond_the_largest_double_reads_inf():
     # The e-value is about 1e310; the suite's filter makes a RuntimeWarning an error.
     calib = [(0.1, 0.0, 1e-310), (0.1, 0.0, 1.0)]
     assert weighted_sdr_evalues(calib, [(0.3, 1e-310)], 0.1).evalues.tolist() == [np.inf]
+
+
+@pytest.mark.parametrize("calib, test, gamma, want", [
+    ([(0.1, 0.0, 1e-310), (0.1, 0.0, 1.0)], (0.3, 1e-310), 0.1, np.inf),   # an e-value of about 1e310
+    ([(0.0, 0.5, 1e300)], (0.5, 0.5), 1e300, 2.0),     # ratio bound and breakpoint beyond the largest double
+])
+def test_oracles_equal_the_kernel_where_a_quotient_overflows(calib, test, gamma, want):
+    # The suite's filter makes an overflow warning an error.
+    assert weighted_sdr_evalues(calib, [test], gamma).evalues.tolist() == [want]
+    assert weighted_sdr_evalues_oracle(calib, [test], gamma).evalues.tolist() == [want]
+    assert weighted_mdr_evalue(calib, test, gamma) == weighted_mdr_evalue_oracle(calib, test, gamma) == want
 
 
 def test_zero_propagation_from_diagnostics():
