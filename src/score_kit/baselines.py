@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreKitError, _sorted_prefix, validate_batch
+from .core import ScoreKitError, _check_alpha, _sorted_prefix, validate_batch
 
 __all__ = [
     "InvalidConfig",
@@ -94,6 +94,7 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
     sum over "score <= t" is read at the end of t's tie group: the running
     sums at ``inner`` positions belong to no threshold and are left out.
     """
+    _check_alpha(alpha)
     batch = validate_batch(calib)
     n, risks = batch.n, batch.calib_risks
     curves = 2 if selective else 1               # risk mass, then score mass

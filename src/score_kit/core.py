@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "ScoreKitError",
+    "InvalidAlpha",
     "EmptyCalibration",
     "RiskOutOfRange",
     "NonPositiveWeight",
@@ -49,6 +50,11 @@ __all__ = [
 
 class ScoreKitError(Exception):
     """Base class for data and validation errors raised by this package."""
+
+
+class InvalidAlpha(ScoreKitError, ValueError):
+    def __init__(self, alpha) -> None:
+        super().__init__(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 class EmptyCalibration(ScoreKitError):
@@ -111,6 +117,12 @@ class TestPoint:
     weight: float = 1.0
 
 
+def _check_alpha(alpha) -> None:
+    """Reject a target level outside the open interval (0, 1), nan included."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(alpha)
+
+
 def _check_gamma(gamma) -> None:
     """Reject a calibration level that is not a positive finite number."""
     if not 0.0 < gamma < np.inf:
@@ -129,8 +141,7 @@ class Levels:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.gamma is None:
             object.__setattr__(self, "gamma", float(self.alpha))
         _check_gamma(self.gamma)

@@ -24,23 +24,20 @@ every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 
 Three readers of one pooled prefix over the score-sorted data, each in
 ``O(n+m)`` memory: :func:`sdr_evalues` / :func:`weighted_sdr_evalues`
-compute the infimum exactly as a minimum over the pooled thresholds between
-``t_j(1)`` and ``t_j(0)`` that are feasible at ``ell = 0`` (exact in floating
-point; see ``_sdr_kernel_grid``); :func:`sdr_evalues_at` evaluates the
-objective at one fixed ``ell`` and :func:`sdr_evalues_conservative`
-(simpler, slightly conservative) avoids the infimum, both in ``O((n+m)
-log(n+m))`` time and for unit weights only.  The brute-force oracles
-:func:`sdr_evalues_oracle` / :func:`weighted_sdr_evalues_oracle` are
-deliberately separate; they build threshold-by-n comparison matrices and are
-meant for small instances.
+compute the infimum exactly; :func:`sdr_evalues_at` evaluates the objective
+at one fixed ``ell`` and :func:`sdr_evalues_conservative` (simpler, slightly
+conservative) avoids the infimum, both in ``O((n+m) log(n+m))`` time and for
+unit weights only.  The brute-force oracles :func:`sdr_evalues_oracle` /
+:func:`weighted_sdr_evalues_oracle` are deliberately separate; they build
+threshold-by-n comparison matrices and are meant for small instances.
 
 The exact kernel, ``_sdr_kernel_grid``, takes a grid of levels and returns
 the e-values, ``t_j(0)`` and ``t_j(1)`` with shape ``(levels, m)``, ``nan``
 marking an absent threshold; a grid gives the bits of one call per level.
-It locates the two thresholds for every point and level, then finishes
-every path with one rule, in ``O(n+m)`` memory.  Non-unit weights locate
-them in ``O((n+m) log(n+m))`` per level; unit weights take one ``O(n+m)``
-pass per point, the only Python loop that visits every point.
+It locates the two thresholds for every point and level, then reads each
+e-value at ``t_j(0)`` in closed form, exact in floating point.  Non-unit
+weights locate them in ``O((n+m) log(n+m))`` per level; unit weights take
+one ``O(n+m)`` pass per point, the only Python loop that visits every point.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidatedBatch, _check_gamma, _freeze_views, _sorted_prefix, validate_batch
+from .core import ValidatedBatch, _check_alpha, _check_gamma, _freeze_views, _sorted_prefix, validate_batch
 
 __all__ = [
     "SdrEvalueSet",
@@ -114,18 +111,24 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     and weighted paths (unit weights recover the exchangeable formulas).
 
     Per test point, ``t(0) >= t(1)`` are the largest thresholds feasible at
-    ``ell = 0`` and ``ell = 1``.  A locator finds them; one finishing step
-    then turns them into e-values, whatever the weights.  A point whose score
-    exceeds ``t(1)`` gets 0.  Otherwise the e-value is ``total_w / largest``
-    with ``largest = max(w_j * clip(ell_bar, 0, 1) + A)`` over the ``ell =
-    0`` feasible thresholds from ``t(1)``'s tie group to ``t(0)``, where
-    ``ell_bar`` solves ``FR_j(t; ell) = gamma``.  :func:`_window_evalues`
-    takes these maxima for every windowed (level, point) pair in one array
-    pass.  Thresholds that no ``ell`` attains are harmless: each has a
-    larger feasible one with a larger ``ell_bar``, and clip, ``w_j * x``,
-    ``+ A`` and ``total_w / x`` are monotone under rounding.  The ``t(0) ==
-    t(1)`` shortcut is kept on purpose: it uses ``ell = 1`` exactly, not a
-    rounded ``ell_bar``.
+    ``ell = 0`` and ``ell = 1``.  A locator finds them, and the e-value is
+    read at ``t(0)`` alone, whatever the weights.  A point whose score
+    exceeds ``t(1)`` gets 0.  Otherwise, with ``a`` and ``nt`` the ``A`` and
+    ``ntest`` at ``t(0)``, it is ``total_w / (w_j + a)`` where ``t(0) ==
+    t(1)`` (``ell = 1`` is feasible there), else ``max(min(total_w / a, m /
+    (gamma * nt)), total_w / (a + w_j))``.
+
+    The infimum is the least objective over the ``ell = 0`` feasible
+    thresholds ``t`` from ``t(1)`` to ``t(0)``, each at the ``ell`` in [0, 1]
+    nearest to ``FR_j(t; ell) = gamma``, where ``w_j * ell + A = gamma *
+    total_w * nt / m``: ``m / (gamma * nt)`` clipped to ``[total_w / (A +
+    w_j), total_w / A]``.  All three terms are nonincreasing in ``t``, and
+    division, min and max are monotone under rounding, so the least sits at
+    ``t(0)``, bit for bit.  At ``gamma = alpha`` the middle term is eBH's
+    cutoff ``m / (alpha * tau)`` at ``tau = nt``, in the same expression, so
+    an e-value that meets the cutoff in real arithmetic meets it in floating
+    point too.  The shortcut takes ``ell = 1`` exactly, where the rounded
+    clip can sit an ulp above it.
 
     Point ``j`` covers the first ``K_j = size - first_j`` descending
     positions, where ``FR_j(t; 0) = fl(A / ntest * f_j)`` and ``FR_j(t; 1) =
@@ -162,77 +165,17 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     factor = m / total_w
     K = size - vals.searchsorted(batch.test_scores, side="left")
     locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
-    # An e-value, an ell_bar or a ratio bound beyond the largest double reads
-    # inf; a ratio bound then steps down to the largest double.
-    with np.errstate(over="ignore"):
+    # An e-value or a ratio bound beyond the largest double reads inf, as does
+    # total_w / a at a zero prefix; a ratio bound then steps down to the
+    # largest double.
+    with np.errstate(over="ignore", divide="ignore"):
         i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
-        covered = i1 < K                         # s_j <= t(1); the sentinel is never covered
-        one = covered & (i0 == i1)
-        evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
-        g_win, j_win = (covered > one).nonzero()
-        if g_win.size:
-            # The window runs from t(0) down to the end of t(1)'s tie group;
-            # it holds t(1), so it is never empty.
-            starts = i0[g_win, j_win]
-            stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
-            per_pair = np.array((np.asarray(gammas, dtype=float)[g_win], np.asarray(bounds)[g_win],
-                                 factor[j_win], w[j_win], total_w[j_win]))
-            evalues[g_win, j_win] = _window_evalues(desc_A, ntest, m, starts, stops, per_pair)
-    return evalues, desc_vals[i0], desc_vals[i1]
-
-
-def _window_evalues(A, ntest, m: int, starts, stops, per_pair):
-    """Each window's e-value ``total_w / largest``, ``inf`` when ``largest``
-    is not positive, with ``largest = max(w_j * clip(ell_bar, 0, 1) + A)``
-    over the window's ``ell = 0`` feasible positions.
-
-    Window ``p`` holds the descending positions ``starts[p]`` to
-    ``stops[p]``; ``per_pair`` stacks its ``(gamma, bound, f_j, w_j, total_w)``.
-    The windows are laid end to end and every position takes the per-window
-    float expressions element by element; infeasible positions drop out as
-    ``-inf`` and ``np.maximum.reduceat`` takes each window's maximum, which
-    is exact whatever the order.  The work is proportional to the total
-    window length, in consecutive groups of at most ``A.size`` positions, so
-    memory stays ``O(n+m)``.  A window that forms a group alone (one longer
-    than that, or the only one) is read as a slice with its pair's values as
-    scalars, which spares a call with a single window the repeats.
-    """
-    lengths = stops - starts
-    ends = lengths.cumsum()
-    evalues = np.empty(lengths.size)
-    lo = 0
-    while lo < ends.size:
-        head = ends[lo] - lengths[lo]
-        hi = max(lo + 1, ends.searchsorted(head + A.size, side="right"))
-        if hi == lo + 1:                         # a slice, its pair's values as scalars
-            at = slice(starts[lo], stops[lo])
-            gamma, bound, f, wj, total = per_pair[:, lo].tolist()
-            feasible, value = _window_terms(A[at], ntest[at], m, gamma, bound, f, wj, total)
-            largest = value[feasible].max()
-            evalues[lo] = total / largest if largest > 0.0 else np.inf
-        else:
-            marks = ends[lo:hi] - lengths[lo:hi] - head      # where each window starts
-            at = np.repeat(starts[lo:hi] - marks, lengths[lo:hi])
-            at += np.arange(at.size)
-            feasible, value = _window_terms(A[at], ntest[at], m,
-                                            *np.repeat(per_pair[:, lo:hi], lengths[lo:hi], axis=1))
-            largest = np.maximum.reduceat(np.where(feasible, value, -np.inf), marks)
-            e = evalues[lo:hi]
-            e.fill(np.inf)
-            np.divide(per_pair[4, lo:hi], largest, out=e, where=largest > 0.0)
-        lo = hi
-    return evalues
-
-
-def _window_terms(a, nt, m: int, gamma, bound, f, wj, total):
-    """``(feasible, value)`` at window positions with prefix ``a`` and test
-    count ``nt``: ``fl(a / nt * f_j) <= bound`` and ``w_j * clip(ell_bar, 0,
-    1) + a``, where ``ell_bar`` solves ``FR_j(t; ell) = gamma``, not bound."""
-    value = (gamma * total * nt / m - a) / wj    # ell_bar
-    value.clip(0.0, 1.0, out=value)
-    value *= wj
-    value += a
-    return a / nt * f <= bound, value
+        a, nt = desc_A[i0], ntest[i0]
+        level = np.asarray(gammas, dtype=float)[:, None]
+        read = np.maximum(np.minimum(total_w / a, m / (level * nt)), total_w / (a + w))
+        read = np.where(i0 == i1, total_w / (w + a), read)
+    covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
+    return np.where(covered, read, 0.0), desc_vals[i0], desc_vals[i1]
 
 
 def _descending_prefix(batch: ValidatedBatch):
@@ -550,15 +493,14 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
 
     For each test point ``j``,
 
-        e_j = 1{s_j <= t_hat_j} / #{test scores <= t_tilde} * m / alpha,
+        e_j = 1{s_j <= t_hat_j} * m / (alpha * #{test scores <= t_tilde}),
 
     where ``t_hat_j`` is the largest pooled score whose estimated selective
     risk (with the test point's own risk as 1) is at most ``alpha + 1e-12``
     and ``t_tilde`` is its analogue without the test term.  The e-value is zero
     when ``t_hat_j`` does not exist or no test score falls below ``t_tilde``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues_conservative")
     n, m = batch.n, batch.m
@@ -581,5 +523,5 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     t_hat = np.where(hat >= 0, thresholds[hat], np.nan)
     evalues = np.zeros(m)
     if denom_count:
-        evalues[covered] = (m / alpha) / denom_count
+        evalues[covered] = m / (alpha * denom_count)   # eBH's own cutoff at tau = denom_count
     return SdrEvalueSet(evalues, np.full(m, t_tilde), t_hat)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreKitError
+from .core import ScoreKitError, _check_alpha
 
 __all__ = [
-    "InvalidAlpha",
     "InvalidDraws",
     "EmptyInput",
     "SelectionResult",
@@ -30,11 +29,6 @@ __all__ = [
     "conformal_pvalues",
     "bh",
 ]
-
-
-class InvalidAlpha(ScoreKitError):
-    def __init__(self, alpha) -> None:
-        super().__init__(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 class InvalidDraws(ScoreKitError):
@@ -64,8 +58,7 @@ class SelectionResult:
 def _checked(evalues, alpha: float) -> np.ndarray:
     """The shared prelude of the e-value filters: check ``alpha``, then the
     e-values, and return them as a float array."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(alpha)
+    _check_alpha(alpha)
     e = np.asarray(evalues, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise EmptyInput("need a non-empty 1-d collection of e-values")
@@ -145,8 +138,7 @@ def bh(pvalues, alpha: float) -> SelectionResult:
     cutoff ``alpha * k* / m``.  No tie straddles the cutoff, since every
     p-value ranked after ``k*`` exceeds ``alpha * (k* + 1) / m``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(alpha)
+    _check_alpha(alpha)
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise EmptyInput("need a non-empty 1-d collection of p-values")

@@ -1,6 +1,8 @@
 """Shared generators and comparison helpers for the test suite."""
 
 import csv
+import math
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -139,7 +141,7 @@ def dense_sdr_evalues_conservative(calib, tests, alpha):
         t_hat[j] = largest_feasible(risk_sum + (sj <= thresholds))
         if np.isnan(t_hat[j]) or sj > t_hat[j] or denom_count == 0:
             continue
-        evalues[j] = (m / alpha) / denom_count
+        evalues[j] = m / (alpha * denom_count)
     return evalues, np.full(m, t_tilde), t_hat
 
 
@@ -254,9 +256,10 @@ def per_step_loss_logistic_fit(source_x, target_x, lr=0.1, iters=500):
 # ---------------------------------------------------------------------------
 # Attained-breakpoint reference for the exact SDR kernel: a straight
 # transcription of the per-point loop that keeps only thresholds some ell
-# attains (a suffix-max filter) before taking the minimum.  The library scans
-# every ell=0-feasible threshold between t(1) and t(0) instead; the outputs
-# must match bit for bit.
+# attains (a suffix-max filter) and takes the minimum of the closed form
+# max(min(total_w / A, m / (gamma * ntest)), total_w / (A + w_j)) over them.
+# The library reads that form at t(0) alone; the outputs must match bit for
+# bit.
 # ---------------------------------------------------------------------------
 
 def attained_breakpoint_sdr_kernel(calib, tests, gamma):
@@ -311,12 +314,67 @@ def attained_breakpoint_sdr_kernel(calib, tests, gamma):
         larger_best = np.where(nxt < n + m, suffix[np.minimum(nxt, n + m - 1)], -np.inf)
         keep = feas0 & (vals >= t1) & (vals <= t0_arr[j]) & (ell_bar >= larger_best)
         keep |= (vals == t1) & feas0
-        ell = np.clip(ell_bar[keep], 0.0, 1.0)
-        denom_e = wj * ell + A[keep]
+        a, nt = A[keep], denom[keep]
         with np.errstate(divide="ignore"):
-            evalues[j] = float(np.min(np.where(denom_e > 0.0, total_w / denom_e, np.inf)))
+            closed = np.maximum(np.minimum(total_w / a, m / (gamma * nt)), total_w / (a + wj))
+        evalues[j] = float(np.min(closed))
 
     return evalues, t0_arr, t1_arr
+
+
+# ---------------------------------------------------------------------------
+# Exact-arithmetic reference for unit-weight SDR e-values and eBH.  Levels are
+# read as the decimals they print as (0.3 is 3/10), as a user writes them; on
+# small dyadic instances no e-value then lies within rounding distance of a
+# cutoff without equalling it, so the float selection must be the exact one.
+# ---------------------------------------------------------------------------
+
+def exact_sdr_evalues(calib, tests, gamma):
+    """Unit-weight SDR e-values as ``Fraction`` (``inf`` where unbounded):
+    a threshold is feasible when ``FR_j(t; ell) <= gamma + 1e-12``, and the
+    e-value is 0 where ``s_j > t(1)``, ``(n + 1) / (1 + A(t(0)))`` where
+    ``t(0) == t(1)``, else the least ``(n + 1) / (clip(ell_bar, 0, 1) + A(t))``
+    over the ``ell = 0`` feasible thresholds from ``t(1)`` to ``t(0)``, with
+    ``ell_bar`` solving ``FR_j(t; ell) = gamma``."""
+    batch = validate_batch(calib, tests)
+    n, m = batch.n, batch.m
+    cs, ts = batch.calib_scores.tolist(), batch.test_scores.tolist()
+    risks = [Fraction(r) for r in batch.calib_risks.tolist()]
+    thresholds = sorted(set(cs + ts))
+    A = [sum((r for s, r in zip(cs, risks) if s <= t), Fraction(0)) for t in thresholds]
+    level = Fraction(repr(gamma))
+    bound, total = level + Fraction(repr(sdr._BOUNDARY_TOL)), n + 1
+    evalues = []
+    for j, sj in enumerate(ts):
+        den = [1 + sum(s <= t for s in ts[:j] + ts[j + 1:]) for t in thresholds]
+
+        def last_feasible(ell):
+            return max((i for i, t in enumerate(thresholds)
+                        if (ell * (sj <= t) + A[i]) * m <= bound * den[i] * total), default=-1)
+
+        i0, i1 = last_feasible(0), last_feasible(1)
+        if i1 < 0 or sj > thresholds[i1]:
+            evalues.append(Fraction(0))
+        elif i0 == i1:
+            evalues.append(Fraction(total) / (1 + A[i0]))
+        else:
+            best = math.inf
+            for i in range(i1, i0 + 1):
+                if A[i] * m <= bound * den[i] * total:
+                    ell = min(max(level * total * den[i] / m - A[i], Fraction(0)), Fraction(1))
+                    best = min(best, Fraction(total) / (ell + A[i]) if ell + A[i] else math.inf)
+            evalues.append(best)
+    return evalues
+
+
+def exact_ebh(evalues, alpha):
+    """The eBH selection at level ``alpha`` in exact arithmetic."""
+    m, level = len(evalues), Fraction(repr(alpha))
+    for tau in range(m, 0, -1):
+        cutoff = m / (level * tau)
+        if sum(e >= cutoff for e in evalues) >= tau:
+            return frozenset(j for j, e in enumerate(evalues) if e >= cutoff)
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +412,6 @@ def csv_reference_write(out, header, columns):
     writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(zip(*map(cells, columns)))
-
-
-# ---------------------------------------------------------------------------
-# Per-window reference for the exact SDR kernel's finishing step: the same
-# prefix and locators, then one Python iteration per windowed (level, point)
-# pair.  The library lays every window end to end and takes their maxima in
-# one array pass per group; the outputs must match bit for bit.
-# ---------------------------------------------------------------------------
-
-def per_window_sdr_kernel_grid(batch, gammas):
-    """``(evalues, t0, t1)`` of ``_sdr_kernel_grid``, each window's maximum
-    taken by its own slice."""
-    gammas = tuple(gammas)
-    m, size = batch.m, batch.n + batch.m
-    vals, desc_vals, desc_A, ntest = sdr._descending_prefix(batch)
-    w = batch.test_weights
-    total_w = float(batch.calib_weights.sum()) + w
-    factor = m / total_w
-    K = size - vals.searchsorted(batch.test_scores, side="left")
-    bounds = [gamma + sdr._BOUNDARY_TOL for gamma in gammas]
-    locate = sdr._pointwise_positions if batch.has_unit_weights else sdr._keyed_positions
-    i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
-
-    covered = i1 < K
-    one = covered & (i0 == i1)
-    evalues = np.where(one, total_w / (w + desc_A[i0]), 0.0)
-    g_win, j_win = (covered > one).nonzero()
-    if g_win.size:
-        stops = size - vals.searchsorted(desc_vals[i1[g_win, j_win]], side="left")
-        starts = i0[g_win, j_win]
-        for g, j, a, b in zip(g_win.tolist(), j_win.tolist(), starts.tolist(), stops.tolist()):
-            gamma, wj, total = gammas[g], w.item(j), total_w.item(j)
-            win = a + (desc_A[a:b] / ntest[a:b] * factor.item(j) <= bounds[g]).nonzero()[0]
-            ell_bar = (gamma * total * ntest[win] / m - desc_A[win]) / wj
-            largest = (wj * ell_bar.clip(0.0, 1.0) + desc_A[win]).max()
-            evalues[g, j] = total / largest if largest > 0.0 else np.inf
-    return evalues, desc_vals[i0], desc_vals[i1]
 
 
 # ---------------------------------------------------------------------------

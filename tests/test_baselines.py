@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from score_kit import (BaselineConfig, InvalidConfig, concentration_mdr_threshold,
+from score_kit import (BaselineConfig, InvalidAlpha, InvalidConfig, concentration_mdr_threshold,
                        concentration_sdr_threshold, rademacher_signs, validate_batch)
 from helpers import (dense_concentration_mdr_threshold, dense_concentration_sdr_threshold,
                      three_temporary_rademacher_curve)
@@ -16,6 +16,19 @@ def _hoeffding_eps(n, grid_size, delta):
 def test_slack_formula_example():
     # n=1000, |G|=101, delta=0.1
     assert _hoeffding_eps(1000, 101, 0.1) == pytest.approx(0.0617, abs=5e-4)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 5.0, float("inf")])
+@pytest.mark.parametrize("kind", ["hoeffding", "rademacher"])
+def test_both_baselines_reject_a_level_outside_the_unit_interval(kind, alpha):
+    # A mistyped level must not read as "no threshold" (None) or "deploy
+    # everything" (1.0).
+    calib = [(0.1, 0.2), (0.4, 0.1), (0.7, 0.3)]
+    config = BaselineConfig(kind, rademacher_draws=2)
+    signs = rademacher_signs(np.random.default_rng(0), 4, 3)
+    for threshold, draws in ((concentration_mdr_threshold, signs[:2]), (concentration_sdr_threshold, signs)):
+        with pytest.raises(InvalidAlpha, match="alpha must lie in"):
+            threshold(calib, config, alpha, draws)
 
 
 def test_mdr_hoeffding_zero_risks_selects_top():
@@ -209,12 +222,12 @@ def test_rademacher_thresholds_equal_the_three_temporary_expression():
             boundary += min(2, levels.size)
         assert np.array_equal(signs, kept)
     assert boundary >= 300, boundary
-    # Two tied scores admit no threshold between them, so the +1 and -1 draw
-    # gives a Rademacher term of 0, not the 0.5 of the sum after the first:
-    # the bound at 0.5 is then exactly 1 + tail.
+    # Sixteen tied scores admit no threshold between them, so the alternating
+    # draw gives a Rademacher term of 0, not the 0.0625 of the sum after the
+    # first: the bound at 0.5 is then exactly 0.0625 + tail, a level below 1.
     config = BaselineConfig("rademacher", rademacher_draws=1)
-    tail = 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * 2))
-    assert concentration_mdr_threshold([(0.5, 1.0), (0.5, 1.0)], config, 1.0 + tail, [1.0, -1.0]) == 0.5
+    tail = 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * 16))
+    assert concentration_mdr_threshold([(0.5, 0.0625)] * 16, config, 0.0625 + tail, [1.0, -1.0] * 8) == 0.5
 
 
 @pytest.mark.parametrize("threshold, blocks", [(concentration_mdr_threshold, 1),

@@ -9,11 +9,12 @@ import threading
 import numpy as np
 import pytest
 
-from score_kit import (CalibSample, EmptyCalibration, Levels, NonFiniteScore,
-                       NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler,
-                       SchemaError, TestPoint, ValidatedBatch, read_calibration_csv, read_test_csv,
-                       rescale_risk, unrescale, validate_batch, weighted_mdr_decide,
-                       weighted_sdr_evalues)
+import score_kit
+from score_kit import (CalibSample, EmptyCalibration, InvalidAlpha, Levels, NonFiniteScore,
+                       NonPositiveWeight, OutOfRange, RiskOutOfRange, RiskRescaler, SchemaError,
+                       ScoreKitError, TestPoint, ValidatedBatch, bh, boost_hete, boost_homo, core, ebh,
+                       read_calibration_csv, read_test_csv, rescale_risk, sdr_evalues_conservative,
+                       unrescale, validate_batch, weighted_mdr_decide, weighted_sdr_evalues)
 from score_kit.core import _CSV_BLOCK, _write_csv
 from helpers import csv_reference_columns, csv_reference_write
 
@@ -216,6 +217,20 @@ def test_levels():
         Levels(0.3, -0.1)
     with pytest.raises(ValueError, match="gamma must be finite, got inf"):
         Levels(0.3, float("inf"))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, 1.0, 5.0, float("inf")])
+def test_every_level_check_raises_the_one_alpha_error(alpha):
+    # One check, one error: a ScoreKitError that is also a ValueError
+    calib, tests = [(0.1, 0.2), (0.4, 0.1)], [0.2, 0.3]
+    calls = (lambda: Levels(alpha), lambda: sdr_evalues_conservative(calib, tests, alpha),
+             lambda: ebh([1.0], alpha), lambda: boost_hete([1.0], alpha, [0.5]),
+             lambda: boost_homo([1.0], alpha, 0.5), lambda: bh([0.5], alpha))
+    for call in calls:
+        with pytest.raises(InvalidAlpha, match=r"alpha must lie in \(0, 1\)") as info:
+            call()
+        assert isinstance(info.value, ScoreKitError) and isinstance(info.value, ValueError)
+    assert score_kit.InvalidAlpha is core.InvalidAlpha
 
 
 def test_read_calibration_csv(tmp_path):

@@ -312,6 +312,29 @@ def test_decide_matches_deploy_mask_on_tied_dyadic_instances():
         assert d.empirical_stat == (1.0 + prefix[np.count_nonzero(cs <= s)]) / (n + 1)
 
 
+def test_decision_and_evalue_agree_at_gamma_alpha():
+    # The e-value's middle term 1 / (gamma * 1) is the cutoff 1 / alpha in
+    # the same expression, so on tied, dyadic instances each single-point
+    # decision deploys exactly when its e-value reaches 1 / alpha, unguarded.
+    rng = np.random.default_rng(49)
+    deployed = 0
+    for trial in range(4000):
+        n = int(rng.integers(1, 25))
+        cs = rng.integers(0, 5, size=n).astype(float)
+        cl = rng.integers(0, 9, size=n) / 8.0 if trial % 2 else rng.integers(0, 5, size=n) / 4.0
+        s = float(rng.integers(0, 5))
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5, 0.6]))
+        if trial % 3:
+            calib, test, decide = list(zip(cs, cl)), s, mdr_decide
+        else:
+            w = rng.integers(1, 5, size=n + 1) / 2
+            calib, test, decide = list(zip(cs, cl, w[:n])), (s, float(w[n])), weighted_mdr_decide
+        d = decide(calib, test, Levels(alpha))
+        assert d.deploy == (d.evalue_lower_bound >= 1 / alpha), (calib, test, alpha)
+        deployed += d.deploy
+    assert deployed >= 1200, deployed
+
+
 def test_single_point_forms_give_the_same_bits():
     # a (score, weight) tuple, a TestPoint and, at unit weight, a bare score
     # are one test point to every single-point entry

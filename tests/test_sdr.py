@@ -2,6 +2,7 @@
 
 import re
 import time
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -15,7 +16,7 @@ from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, sdr_evalues, sdr_evalu
 from score_kit import sdr as sdr_module
 from score_kit.sdr import _sdr_kernel, _sdr_kernel_grid
 from helpers import (attained_breakpoint_sdr_kernel, boundary_instance, dense_sdr_evalues_conservative,
-                     exchangeable_pairs, mc_bound_ok, per_window_sdr_kernel_grid, random_sdr_instance,
+                     exact_ebh, exact_sdr_evalues, exchangeable_pairs, mc_bound_ok, random_sdr_instance,
                      risk_evalue_products)
 
 FIX_CALIB = [(0.1, 0.0), (0.3, 0.0), (0.9, 0.5)]
@@ -143,9 +144,9 @@ def _kernel_instance(rng, k):
 
 
 def test_kernel_equals_attained_breakpoint_reference():
-    # The kernel minimizes over every ell=0-feasible threshold in the
-    # t(1)..t(0) window; the reference keeps only the thresholds some ell
-    # attains.  Monotone rounding makes the two agree bit for bit.
+    # The kernel reads the closed form at t(0) alone; the reference takes its
+    # minimum over the thresholds some ell attains in the t(1)..t(0) window.
+    # Monotone rounding makes the two agree bit for bit.
     rng = np.random.default_rng(41)
     windowed = 0
     for k in range(4000):
@@ -160,16 +161,42 @@ def test_kernel_equals_attained_breakpoint_reference():
     assert windowed >= 400
 
 
+def test_ebh_selection_equals_exact_arithmetic_at_gamma_alpha():
+    # At gamma = alpha an e-value often equals eBH's cutoff m / (alpha * tau)
+    # in real arithmetic.  The kernel writes that term in the cutoff's own
+    # expression, so the float selection is the exact one; small instances,
+    # half tied, with dyadic risks.
+    rng = np.random.default_rng(1)
+    at_cutoff = 0
+    for k in range(600):
+        n, m = int(rng.integers(5, 31)), int(rng.integers(1, 9))
+        if k % 2:
+            cs, ts = rng.integers(0, 6, size=n).astype(float), rng.integers(0, 6, size=m).astype(float)
+            risks = rng.integers(0, 5, size=n) / 4
+        else:
+            cs, ts = rng.normal(size=n), rng.normal(size=m)
+            risks = rng.integers(0, 17, size=n) / 16
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5]))
+        calib, tests = list(zip(cs, risks)), list(ts)
+        exact = exact_sdr_evalues(calib, tests, alpha)
+        got = sdr_evalues(calib, tests, alpha).evalues
+        assert _agree(got, [float(e) for e in exact]), (calib, tests, alpha)
+        assert ebh(got, alpha).selected == exact_ebh(exact, alpha), (calib, tests, alpha)
+        cutoffs = {m / (Fraction(repr(alpha)) * tau) for tau in range(1, m + 1)}
+        at_cutoff += any(e in cutoffs for e in exact)
+    assert at_cutoff >= 100, at_cutoff
+
+
 def test_kernel_keeps_ell_one_when_thresholds_coincide():
-    # t(0) == t(1): the e-value takes ell = 1 exactly; the window rule would
-    # take the rounded ell_bar and give 1.4285714285714288
+    # t(0) == t(1): the e-value takes ell = 1 exactly; the three-term closed
+    # form would give 1.4285714285714288
     res = sdr_evalues([(1.0, 0.9), (0.0, 0.1), (1.0, 0.8)], [2.0, 2.0, 1.0], gamma=0.7)
     assert res.evalues.tolist() == [1.4285714285714286] * 3
 
 
-# Found by search: one ulp decides the e-value.  In the first four the window
-# maximum sits in t(1)'s own tie group; in the last a threshold below t(1),
-# 1e-16 of risk away, would set it if the window started at index 0.
+# Found by search: one ulp decides the e-value.  In the first four the
+# thresholds in t(1)'s own tie group are in play; in the last a threshold
+# below t(1), 1e-16 of risk away, would lower it if it counted.
 ONE_ULP_CASES = [
     (1 / 3, [(2.0, 0.1, 2.6), (2.0, 0.5, 0.2)], [(0.0, 1.4), (0.0, 1.9), (0.0, 2.2)]),
     (0.4, [(2.0, 0.2, 2.4), (2.0, 0.2, 1.5)], [(1.0, 2.6), (1.0, 0.9)]),
@@ -298,40 +325,11 @@ def _informative_batch(rng, n, m, tied, weighted):
 
 
 @pytest.mark.parametrize("weights", ["unit", "non-unit"])
-def test_grouped_window_step_equals_the_per_window_loop(weights):
-    # The windows are laid end to end and maximized in groups of about n+m
-    # positions; a call whose windows add up to more than n+m+1 positions
-    # runs several groups.  Every array keeps the per-window loop's bits.
-    rng = np.random.default_rng(46)
-    checked = windowed = grouped = 0
-    for k in range(1400):
-        if k % 7 == 6:
-            batch = _informative_batch(rng, int(rng.integers(10, 120)), int(rng.integers(10, 60)),
-                                       tied=k % 2 == 0, weighted=weights == "non-unit")
-        else:
-            calib, tests = _kernel_instance(rng, k)
-            if weights == "unit":
-                calib, tests = [c[:2] for c in calib], [t[0] for t in tests]
-            batch = validate_batch(calib, tests)
-            if batch.has_unit_weights != (weights == "unit"):
-                continue
-        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2))
-        got = _sdr_kernel_grid(batch, gammas)
-        want = per_window_sdr_kernel_grid(batch, gammas)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), (batch, gammas)
-        checked += 1
-        windowed += bool(np.any((got[0] > 0.0) & (got[1] != got[2])))
-        grouped += _window_length(batch, *got) > batch.n + batch.m + 1
-    assert checked >= 600 and windowed >= 300 and grouped >= 100, (checked, windowed, grouped)
-
-
-@pytest.mark.parametrize("weights", ["unit", "non-unit"])
 def test_kernel_memory_stays_linear_when_windows_are_long(weights):
     # m >> n on informative data: the windows add up to at least 20(n+m)
-    # positions.  Expanding them all at once would hold their positions and
-    # four repeated rows, over 100(n+m) doubles; the grouped step stays
-    # within a bound that is independent of the total window length.
+    # positions.  Expanding them all at once would hold over 100(n+m)
+    # doubles; the kernel stays within a bound that is independent of the
+    # total window length.
     rng = np.random.default_rng(44)
     n, m = 200, 2000
     batch = _informative_batch(rng, n, m, tied=False, weighted=weights == "non-unit")
@@ -538,6 +536,26 @@ def test_conservative_equals_dense_reference():
             assert np.array_equal(res.thresholds_at_1, t_hat, equal_nan=True)
             nonzero += bool(np.any(ev > 0.0))
     assert nonzero >= 500
+
+
+def test_conservative_evalues_meet_the_cutoff_when_every_covered_point_counts():
+    # Where the count D of test scores <= t_tilde equals the number K of
+    # covered points, each covered e-value is m / (alpha * K), eBH's own
+    # cutoff at tau = K in the same expression, so eBH selects all K.
+    rng = np.random.default_rng(9)
+    full = 0
+    for k in range(1000):
+        n, m = int(rng.integers(10, 80)), int(rng.integers(1, 30))
+        cs, cl, ts, _ = exchangeable_pairs(rng, n, m, kind=("smooth", "excess", "binary")[k % 3])
+        if k % 2:
+            cs, ts = np.round(cs, 1), np.round(ts, 1)
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.4, 0.5]))
+        res = sdr_evalues_conservative(list(zip(cs, cl)), list(ts), alpha)
+        covered = int(np.count_nonzero(res.evalues))
+        if covered and np.count_nonzero(ts <= res.thresholds_at_0[0]) == covered:
+            assert ebh(res.evalues, alpha).tau == covered, (cs, cl, ts, alpha)
+            full += 1
+    assert full >= 500, full
 
 
 def test_conservative_memory_is_linear():
