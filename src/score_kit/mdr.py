@@ -18,8 +18,8 @@ reduces exactly to one comparison, with ``tol = 1e-12``
 
     deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma + tol.
 
-For ``gamma > alpha`` a no-crossing condition over the pooled thresholds
-joins it.  The weighted variants replace every calibration term by its
+For ``gamma > alpha`` the decision also reads the e-value: it must reach
+``1 / alpha``.  The weighted variants replace every calibration term by its
 weighted version and ``n + 1`` by the total weight, giving finite-sample
 control under covariate shift with known (or plugged-in) weights.
 
@@ -28,10 +28,10 @@ sums from the shared sorted prefix: :func:`deploy_mask` returns its mask,
 and :func:`mdr_decide` / :func:`weighted_mdr_decide` read its one entry, so
 batch and single-point decisions agree bit for bit.
 
-:func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle` transcribe the
-defining infimum by brute force for verification; :func:`mdr_evalue` computes
-the same value exactly through the selective-risk kernel specialized to a
-single test point.
+An e-value is the selective-risk kernel on the point alone with the
+calibration data, which ``sdr._mdr_evalues`` runs for a whole batch in one
+pass; :func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle`
+transcribe the defining infimum by brute force for verification.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Levels, ValidatedBatch, _check_gamma, _sorted_prefix, validate_batch
-from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _require_unit_weights, _sdr_kernel
+from .sdr import _BOUNDARY_TOL, _mdr_evalues, _oracle_ell_candidates, _require_unit_weights
 
 __all__ = [
     "MdrDecision",
@@ -63,6 +63,10 @@ class MdrDecision:
     ``evalue_lower_bound`` is the exact e-value (diagnostic only): the
     decision at any level ``alpha'`` with ``1/alpha'`` below this bound would
     also deploy.
+
+    ``deploy`` reads the statistic, with the 1e-12 tolerance, and at ``gamma
+    > alpha`` also the e-value.  So at ``gamma <= alpha``, where risk sums
+    round (tenths, not dyadic), the e-value can sit an ulp below ``1/alpha``.
     """
 
     deploy: bool
@@ -76,36 +80,10 @@ def _single_point_batch(calib, test) -> ValidatedBatch:
     return validate_batch(calib, [test])
 
 
-def _no_crossing(test_weights: np.ndarray, levels: Levels, sorted_scores: np.ndarray,
-                 prefix0: np.ndarray, k: np.ndarray, total_w: np.ndarray) -> np.ndarray:
-    """For ``gamma > alpha``, whether each test point passes the extra
-    no-crossing condition: no pooled threshold t and candidate risk ell in
-    [0, 1] put the statistic inside (alpha, gamma].
-
-    Linearity in ell reduces this to the two endpoints per t.  Only prefix
-    values attained at actual thresholds count, so tied scores share the
-    final value of their tie group; the test point's own threshold adds the
-    prefix up to its score, ``prefix0[k]``.  The condition asks whether some
-    prefix value P <= cap_j = (gamma + _BOUNDARY_TOL) * T_j has w_j + P >
-    alpha * T_j.  The tie-grouped prefixes are nondecreasing and fl(w_j + P)
-    is monotone in P, so one binary search for the largest P <= cap_j
-    decides it exactly.
-    """
-    tied_prefix = prefix0[np.searchsorted(sorted_scores, sorted_scores, side="right")]
-    cap = (levels.gamma + _BOUNDARY_TOL) * total_w
-    floor = levels.alpha * total_w
-    below = np.searchsorted(tied_prefix, cap, side="right")
-    p_max = tied_prefix[np.maximum(below - 1, 0)]
-    p_test = prefix0[k]
-    bad = (below > 0) & (test_weights + p_max > floor)
-    bad |= (p_test <= cap) & (test_weights + p_test > floor)
-    return ~bad
-
-
-def _decide(batch: ValidatedBatch, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+def _decide(batch: ValidatedBatch, levels: Levels, evalues=None) -> tuple[np.ndarray, np.ndarray]:
     """The MDR statistic and the deploy decision for every test point: the
     one rule behind :func:`deploy_mask`, :func:`mdr_decide` and
-    :func:`weighted_mdr_decide`."""
+    :func:`weighted_mdr_decide`; ``evalues``, at ``gamma``, if already known."""
     sorted_scores, prefix0, _ = _sorted_prefix(batch.calib_scores,
                                                batch.calib_weights * batch.calib_risks)
     k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
@@ -113,14 +91,17 @@ def _decide(batch: ValidatedBatch, levels: Levels) -> tuple[np.ndarray, np.ndarr
     stats = (batch.test_weights + prefix0[k]) / total_w
     mask = stats <= levels.gamma + _BOUNDARY_TOL
     if levels.gamma > levels.alpha:
-        mask &= _no_crossing(batch.test_weights, levels, sorted_scores, prefix0, k, total_w)
+        if evalues is None:
+            evalues = _mdr_evalues(batch, levels.gamma)
+        mask &= evalues >= 1 / levels.alpha
     return stats, mask
 
 
 def _point_decision(batch: ValidatedBatch, levels: Levels) -> MdrDecision:
-    stats, mask = _decide(batch, levels)
+    evalues = _mdr_evalues(batch, levels.gamma)
+    stats, mask = _decide(batch, levels, evalues)
     return MdrDecision(deploy=bool(mask[0]), empirical_stat=float(stats[0]),
-                       evalue_lower_bound=float(_sdr_kernel(batch, levels.gamma)[0][0]))
+                       evalue_lower_bound=float(evalues[0]))
 
 
 def mdr_decide(calib, test_score: float, levels: Levels) -> MdrDecision:
@@ -153,12 +134,12 @@ def mdr_evalue(calib, test_score: float, gamma: float) -> float:
     selective-risk kernel specialized to a single test point."""
     batch = _single_point_batch(calib, test_score)
     _require_unit_weights(batch, "mdr_evalue", "weighted_mdr_evalue")
-    return float(_sdr_kernel(batch, gamma)[0][0])
+    return float(_mdr_evalues(batch, gamma)[0])
 
 
 def weighted_mdr_evalue(calib, test, gamma: float) -> float:
     """Exact weighted MDR e-value for one test point."""
-    return float(_sdr_kernel(_single_point_batch(calib, test), gamma)[0][0])
+    return float(_mdr_evalues(_single_point_batch(calib, test), gamma)[0])
 
 
 # ---------------------------------------------------------------------------

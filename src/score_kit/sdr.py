@@ -144,12 +144,12 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     level, which the keyed locator's tests also take as their reference.
 
     Unit weights keep the loop for one reason.  Faster locators with the same
-    bits exist: a slice form of the loop, or, since every point then shares
-    the factor ``m / (n + 1)``, a loop-free one on the rule of
-    :func:`_own_term_threshold`.  But the benchmark's select-sdr workload
-    keeps state for every operation it completes, so a faster kernel raises
-    its ``peak_rss_mb`` past that metric's bound.  The loop goes once the
-    benchmark bounds that state (item 1 of ROADMAP.md).
+    bits exist: the loop without per-point temporaries, or a loop-free one on
+    the rule of :func:`_own_term_threshold`, since every point then shares
+    ``m / (n + 1)``.  But the select-sdr benchmark keeps state per completed
+    operation: without temporaries, 55-75% more ``points_per_s`` put its
+    ``peak_rss_mb`` at 98-105 MB against 76 MB, past the 0.1 bound.  The loop
+    goes once the benchmark bounds that state (ROADMAP.md item 1).
 
     Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
     ``nan`` marking absent thresholds.
@@ -157,25 +157,43 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     gammas = tuple(gammas)
     for gamma in gammas:
         _check_gamma(gamma)
-    bounds = tuple(gamma + _BOUNDARY_TOL for gamma in gammas)
-    m, size = batch.m, batch.n + batch.m
     vals, desc_vals, desc_A, ntest = _descending_prefix(batch)
+    locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
+    evalues, i0, i1 = _located_evalues(batch, gammas, locate, batch.m, vals, desc_A, ntest,
+                                       desc_A / (1.0 + ntest))
+    return evalues, desc_vals[i0], desc_vals[i1]
+
+
+def _mdr_evalues(batch: ValidatedBatch, gamma: float) -> np.ndarray:
+    """Every test point's MDR e-value at ``gamma``: the kernel's on the point
+    alone (``m = 1``), whose covered count is 1 and key below ``s_j`` is
+    ``A``, so one pass serves the batch.  Other test scores add positions with
+    the ``A`` and coverage of the one below, so no e-value changes a bit."""
+    _check_gamma(gamma)
+    vals, _, desc_A, _ = _descending_prefix(batch)
+    one = np.ones(desc_A.size)
+    return _located_evalues(batch, (gamma,), _keyed_positions, 1, vals, desc_A, one, desc_A)[0][0]
+
+
+def _located_evalues(batch: ValidatedBatch, gammas: tuple, locate, m: int, vals, A, count, below):
+    """``(evalues, i0, i1)``: ``locate`` finds the descending positions of
+    ``t(0)`` / ``t(1)`` from the keys, and each e-value is read at ``t(0)``
+    as :func:`_sdr_kernel_grid` says, with ``m`` points in the estimate."""
+    bounds = tuple(gamma + _BOUNDARY_TOL for gamma in gammas)
     w = batch.test_weights
     total_w = float(batch.calib_weights.sum()) + w
-    factor = m / total_w
-    K = size - vals.searchsorted(batch.test_scores, side="left")
-    locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
+    K = vals.size - vals.searchsorted(batch.test_scores, side="left")
     # An e-value or a ratio bound beyond the largest double reads inf, as does
     # total_w / a at a zero prefix; a ratio bound then steps down to the
     # largest double.
     with np.errstate(over="ignore", divide="ignore"):
-        i0, i1 = locate(bounds, desc_A, ntest, w, factor, K)
-        a, nt = desc_A[i0], ntest[i0]
+        i0, i1 = locate(bounds, A, count, below, w, m / total_w, K)
+        a, nt = A[i0], count[i0]
         level = np.asarray(gammas, dtype=float)[:, None]
         read = np.maximum(np.minimum(total_w / a, m / (level * nt)), total_w / (a + w))
         read = np.where(i0 == i1, total_w / (w + a), read)
     covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
-    return np.where(covered, read, 0.0), desc_vals[i0], desc_vals[i1]
+    return np.where(covered, read, 0.0), i0, i1
 
 
 def _descending_prefix(batch: ValidatedBatch):
@@ -192,31 +210,30 @@ def _descending_prefix(batch: ValidatedBatch):
     return vals, *desc
 
 
-def _pointwise_positions(bounds: tuple, A, ntest, w, factor, K):
+def _pointwise_positions(bounds: tuple, A, count, below, w, factor, K):
     """The locator as one ``O(n+m)`` pass per test point.
 
     The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
-    so each point computes them once.  Each level then costs ``O(n+m)``
-    comparisons per point: ``argmax`` returns the first True of a mask, and
-    the sentinel makes that ``size`` when nothing else is feasible.  Rounding
-    keeps ``FR_j(t; 1) >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)``
-    down.
+    so each point computes them once, from the keys of
+    :func:`_keyed_positions`.  Each level then costs ``O(n+m)`` comparisons
+    per point: ``argmax`` returns the first True of a mask, and the sentinel
+    makes that ``size`` when nothing else is feasible.  Rounding keeps
+    ``FR_j(t; 1) >= FR_j(t; 0)``, so ``t(1)`` is searched from ``t(0)`` down.
     """
     i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
-    den = 1.0 + ntest                            # 1 + #{tests <= t}
-    for j, (k, wj, f) in enumerate(zip(K.tolist(), w.tolist(), factor.tolist())):
-        covers = np.zeros(A.size, dtype=bool)
-        covers[:k] = True                        # 1{s_j <= t}
-        denom = den - covers                     # 1 + #{other tests <= t}, always >= 1
-        fr0 = A / denom * f
-        fr1 = wj * covers                        # (A + w_j 1{s_j <= t}) / denom * f, in place
-        fr1 += A
-        fr1 /= denom
-        fr1 *= f
-        for g, bound in enumerate(bounds):
-            a = i0[g, j] = (fr0 <= bound).argmax()
-            i1[g, j] = a + (fr1[a:] <= bound).argmax()
+    with np.errstate(divide="ignore", invalid="ignore"):   # count may be 0 where uncovered
+        r = A / count
+        for j, (k, wj, f) in enumerate(zip(K.tolist(), w.tolist(), factor.tolist())):
+            covers = np.zeros(A.size, dtype=bool)
+            covers[:k] = True                    # 1{s_j <= t}
+            fr0 = np.where(covers, r, below)
+            fr0 *= f
+            fr1 = np.where(covers, (A + wj) / count, below)
+            fr1 *= f
+            for g, bound in enumerate(bounds):
+                a = i0[g, j] = (fr0 <= bound).argmax()
+                i1[g, j] = a + (fr1[a:] <= bound).argmax()
     return i0, i1
 
 
@@ -259,9 +276,9 @@ def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.nd
 _BLOCK = np.arange(64)
 
 
-def _first_feasible_at_one(bound: float, A, ntest, w, factor, lo, K):
+def _first_feasible_at_one(bound: float, A, count, w, factor, lo, K):
     """``(position, found)``: per point, the first position in ``[lo, K)``
-    where ``ell = 1`` is feasible, ``fl((A + w_j) / ntest * f_j) <= bound``,
+    where ``ell = 1`` is feasible, ``fl((A + w_j) / count * f_j) <= bound``,
     and whether there is one (``lo`` where not).
 
     ``t(1)`` sits a few positions below ``t(0)``, so the first ``64``
@@ -271,28 +288,29 @@ def _first_feasible_at_one(bound: float, A, ntest, w, factor, lo, K):
     feasible position and stops short of ``K_j`` scans the rest of its slice.
     """
     at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
-    feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= bound
+    feasible = (A[at] + w[:, None]) / count[at] * factor[:, None] <= bound
     first = feasible.argmax(axis=1)
     rows = np.arange(lo.size)
     position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
     for p in ((rest < K) > found).nonzero()[0].tolist():
         start, k = rest.item(p), K.item(p)
-        feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= bound
+        feasible = (A[start:k] + w.item(p)) / count[start:k] * factor.item(p) <= bound
         d = feasible.argmax()
         if feasible[d]:
             position[p], found[p] = start + d, True
     return position, found
 
 
-def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
+def _keyed_positions(bounds: tuple, A, count, below, w, factor, K):
     """The locator with ``t(0)`` found for every point from keys free of j.
 
-    On covered positions ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A /
-    ntest``, and below ``s_j`` both ratios are ``fl(q * f_j)`` with ``q = A /
-    (1 + ntest)``.  Neither key depends on ``j``, and ``fl(x * f_j)`` is
-    monotone in ``x``, so a position is feasible at ``ell = 0`` exactly when
-    its key is at most ``R_j``, the largest double with ``fl(R_j * f_j) <=
-    bound`` (:func:`_ratio_bounds`).  Per level:
+    The caller gives the covered count and the key ``q`` below ``s_j``:
+    ``ntest`` and ``A / (1 + ntest)`` for SDR, 1 and ``A`` for MDR.  Where
+    covered, ``FR_j(t; 0) = fl(r * f_j)`` with ``r = A / count``; below
+    ``s_j`` both ratios are ``fl(q * f_j)``.  Neither key depends on ``j``,
+    and ``fl(x * f_j)`` is monotone in ``x``, so a position is feasible at
+    ``ell = 0`` exactly when its key is at most ``R_j``, the largest double
+    with ``fl(R_j * f_j) <= bound`` (:func:`_ratio_bounds`).  Per level:
 
     * ``t(0)``'s position is one ``searchsorted`` of ``R`` on the running
       minimum of ``r``, kept when it lies below ``K_j``;
@@ -312,7 +330,7 @@ def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
     i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
     kmax = K.max(initial=0)                      # positions no point covers are left out
-    neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
+    neg_min_r = -np.minimum.accumulate(A[:kmax] / count[:kmax])   # nondecreasing
     per_block = max(1, A.size // _BLOCK.size)    # points per block: about A.size positions
     for g, bound in enumerate(bounds):
         R = _ratio_bounds(bound, factor)
@@ -320,15 +338,15 @@ def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
         hit = a < K
         b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= bound)).nonzero()[0]
+        scan = (hit & ~((A[b] + w) / count[b] * factor <= bound)).nonzero()[0]
         for c in range(0, scan.size, per_block):
             part = scan[c:c + per_block]
-            b[part], found = _first_feasible_at_one(bound, A, ntest, w[part], factor[part],
+            b[part], found = _first_feasible_at_one(bound, A, count, w[part], factor[part],
                                                     b[part], K[part])
             late[part] = ~found
         late = late.nonzero()[0]
         if late.size:
-            b[late] = _first_at_most(A / (1.0 + ntest), K[late], R[late])
+            b[late] = _first_at_most(below, K[late], R[late])
         i0[g] = np.where(hit, a, b)
         i1[g] = b
     return i0, i1

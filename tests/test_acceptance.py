@@ -13,7 +13,7 @@ import pytest
 
 import score_kit as sk
 from score_kit.core import ValidatedBatch
-from score_kit.sdr import _sdr_kernel
+from score_kit.sdr import _mdr_evalues, _sdr_kernel
 from helpers import (mc_bound_ok, random_mdr_instance, random_sdr_instance,
                      risk_evalue_products, thresholded)
 
@@ -70,31 +70,24 @@ def test_criterion_1_evalue_validity():
     setting = sk.DgpSetting(2)
     shift = sk.ShiftModel("w1")
     rng = np.random.default_rng(101)
-    ones_n, ones_m, ones_1 = np.ones(n), np.ones(m), np.ones(1)
+    ones_n, ones_m = np.ones(n), np.ones(m)
     sums = {k: [] for k in ("mdr", "sdr", "conservative", "wmdr", "wsdr")}
 
+    # Each point's MDR e-value comes from one batch pass per replicate, with
+    # the bits of one single-point kernel call per point
+    # (test_mdr_batch_equals_one_point_kernel_calls).
     for _ in range(reps):
         cs, cl, ts, tl = _exch_setup(rng, n, m, setting)
-        per_point = []
-        for j in range(m):
-            batch = ValidatedBatch(cs, cl, ones_n, ts[j:j + 1], ones_1)
-            per_point.append(_sdr_kernel(batch, gamma)[0][0])
-        sums["mdr"].append(risk_evalue_products(tl, per_point).mean())
-
         batch = ValidatedBatch(cs, cl, ones_n, ts, ones_m)
+        sums["mdr"].append(risk_evalue_products(tl, _mdr_evalues(batch, gamma)).mean())
         sums["sdr"].append(risk_evalue_products(tl, _sdr_kernel(batch, gamma)[0]).mean())
 
         cons = sk.sdr_evalues_conservative(batch, None, alpha=gamma).evalues
         sums["conservative"].append(risk_evalue_products(tl, cons).mean())
 
         cs, cl, cw, ts, tl, tw = _shifted_setup(rng, n, m, setting, shift)
-        per_point = []
-        for j in range(m):
-            batch = ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1])
-            per_point.append(_sdr_kernel(batch, gamma)[0][0])
-        sums["wmdr"].append(risk_evalue_products(tl, per_point).mean())
-
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
+        sums["wmdr"].append(risk_evalue_products(tl, _mdr_evalues(batch, gamma)).mean())
         sums["wsdr"].append(risk_evalue_products(tl, _sdr_kernel(batch, gamma)[0]).mean())
 
     details = []

@@ -6,7 +6,7 @@ import pytest
 from score_kit import (Levels, TestPoint, ValidatedBatch, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
                        validate_batch, weighted_mdr_decide, weighted_mdr_evalue,
                        weighted_mdr_evalue_oracle)
-from score_kit.sdr import _BOUNDARY_TOL
+from score_kit.sdr import _BOUNDARY_TOL, _mdr_evalues, _sdr_kernel
 from helpers import (boundary_instance, exchangeable_pairs, mc_bound_ok, random_mdr_instance,
                      risk_evalue_products, thresholded)
 
@@ -219,9 +219,6 @@ def test_weighted_evalue_validity_squared_error_risk():
     # true logistic-index weights.
     from score_kit import (DgpSetting, RiskKind, ShiftModel, generate_dataset,
                            rejection_sample_shifted, risk_of, shift_weight)
-    from score_kit.core import ValidatedBatch
-    from score_kit.sdr import _sdr_kernel
-
     rng = np.random.default_rng(15)
     setting = DgpSetting(4)
     shift = ShiftModel("w1")
@@ -238,13 +235,39 @@ def test_weighted_evalue_validity_squared_error_risk():
         tl = risk_of(risk, f(test_x), test_y)
         cw = shift_weight(shift, calib_x)
         tw = shift_weight(shift, test_x)
-        vals = []
-        for j in range(5):
-            batch = ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1])
-            vals.append(_sdr_kernel(batch, 0.25)[0][0])
-        per_rep.append(risk_evalue_products(tl, vals).mean())
+        per_rep.append(risk_evalue_products(tl, _mdr_evalues(ValidatedBatch(cs, cl, cw, ts, tw), 0.25)).mean())
     ok, mean, se = mc_bound_ok(per_rep)
     assert ok, f"mean(L*E) = {mean:.4f} > 1 + 3*{se:.4f}"
+
+
+def test_mdr_batch_equals_one_point_kernel_calls():
+    # One batch pass gives every point the bits of the kernel run on that
+    # point alone with the calibration data: continuous, tied and dyadic,
+    # unit and weighted (test weights up to 60x), lone points included.
+    rng = np.random.default_rng(50)
+    counts = [0, 0]                              # points with a zero and with a positive e-value
+    for k in range(600):
+        n, m = int(rng.integers(1, 120)), int(rng.integers(1, 25)) if k % 5 else 1
+        cs, ts = rng.uniform(size=n), rng.uniform(size=m)
+        cl = np.clip(cs + 0.3 * rng.standard_normal(n), 0.0, 1.0) * rng.uniform(0.1, 1.0)
+        if k % 4 == 1:                           # tied scores, quarter risks
+            cs, ts, cl = np.round(cs, 1), np.round(ts, 1), np.round(cl * 4.0) / 4.0
+        elif k % 4 == 2:                         # tenths: risk sums that round
+            cl = np.round(cl, 1)
+        cw, tw = np.ones(n), np.ones(m)
+        if k % 3 == 0:
+            cw, tw = np.exp(0.5 * rng.standard_normal(n)), np.exp(0.5 * rng.standard_normal(m))
+            tw *= np.where(rng.uniform(size=m) < 0.3, 60.0, 1.0)
+        gamma = float(rng.uniform(0.05, 0.9))
+        batch = ValidatedBatch(cs, cl, cw, ts, tw)
+        got = _mdr_evalues(batch, gamma)
+        want = np.array([_sdr_kernel(ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
+                         for j in range(m)])
+        assert got.tobytes() == want.tobytes(), (k, got, want)
+        positive = int(np.count_nonzero(got > 0.0))
+        counts[0] += m - positive
+        counts[1] += positive
+    assert counts[0] >= 500 and counts[1] >= 4000, counts
 
 
 def _no_crossing_per_point(batch, j, levels):
@@ -264,23 +287,49 @@ def _no_crossing_per_point(batch, j, levels):
 
 
 def test_deploy_mask_gamma_above_alpha_matches_per_point_rule():
+    # At gamma > alpha the mask reads the e-values, and it equals the
+    # statistic plus the no-crossing condition checked point by point: on
+    # tied, dyadic instances, then on continuous low-risk and weighted ones,
+    # where the condition removes many points the statistic deploys.  Every
+    # single-point decision that deploys has an e-value of at least 1 / alpha.
     rng = np.random.default_rng(41)
-    for trial in range(600):
-        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 15))
-        cs = rng.integers(0, 5, size=n).astype(float)
-        ts = rng.integers(0, 5, size=m).astype(float)
-        cl = rng.integers(0, 5, size=n) / 4.0
-        if trial % 2:
-            cw = rng.integers(1, 5, size=n) / 2.0
-            tw = rng.integers(1, 5, size=m) / 2.0
-        else:
+    removed = [0, 0, 0]                          # per kind: deploys the condition removes
+    for trial in range(1200):
+        kind = 0 if trial < 600 else 1 + trial % 2
+        if kind == 0:
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 15))
+            cs = rng.integers(0, 5, size=n).astype(float)
+            ts = rng.integers(0, 5, size=m).astype(float)
+            cl = rng.integers(0, 5, size=n) / 4.0
+            if trial % 2:
+                cw = rng.integers(1, 5, size=n) / 2.0
+                tw = rng.integers(1, 5, size=m) / 2.0
+            else:
+                cw, tw = np.ones(n), np.ones(m)
+        else:                                    # continuous low risks, weighted for kind 2
+            n, m = int(rng.integers(5, 80)), int(rng.integers(1, 15))
+            cs, ts = rng.uniform(size=n), rng.uniform(size=m)
+            cl = np.clip(cs + 0.2 * rng.standard_normal(n), 0.0, 1.0) * rng.uniform(0.05, 0.5)
             cw, tw = np.ones(n), np.ones(m)
+            if kind == 2:
+                cw, tw = np.exp(0.5 * rng.standard_normal(n)), np.exp(0.5 * rng.standard_normal(m))
         alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5]))
         levels = Levels(alpha, alpha + float(rng.choice([0.05, 0.1, 0.25])))
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
         plain = deploy_mask(batch, Levels(levels.gamma))
         expected = [bool(plain[j]) and _no_crossing_per_point(batch, j, levels) for j in range(m)]
-        assert deploy_mask(batch, levels).tolist() == expected
+        mask = deploy_mask(batch, levels)
+        assert mask.tolist() == expected
+        removed[kind] += int(np.count_nonzero(plain & ~mask))
+        if kind:
+            for j in range(m):
+                if kind == 1:
+                    d = mdr_decide(list(zip(cs, cl)), ts[j], levels)
+                else:
+                    d = weighted_mdr_decide(list(zip(cs, cl, cw)), TestPoint(ts[j], tw[j]), levels)
+                assert d.deploy == bool(mask[j])
+                assert not d.deploy or d.evalue_lower_bound >= 1 / alpha, (trial, j, d)
+    assert min(removed) >= 300, removed
 
 
 def test_decide_and_deploy_mask_agree_at_exact_boundary():
