@@ -24,13 +24,13 @@ weighted version and ``n + 1`` by the total weight, giving finite-sample
 control under covariate shift with known (or plugged-in) weights.
 
 One vectorized rule evaluates this for all test points at once, reading the
-sums from the shared sorted prefix: :func:`deploy_mask` returns its mask,
-and :func:`mdr_decide` / :func:`weighted_mdr_decide` read its one entry, so
-batch and single-point decisions agree bit for bit.
+sums from the calibration scores' sorted prefix: :func:`deploy_mask`
+returns its mask, and :func:`mdr_decide` / :func:`weighted_mdr_decide` read
+its one entry, so batch and single-point decisions agree bit for bit.
 
 An e-value is the selective-risk kernel on the point alone with the
-calibration data, which ``sdr._mdr_evalues`` runs for a whole batch in one
-pass; :func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle`
+calibration data, which the same rule reads from the same prefix for a
+whole batch; :func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle`
 transcribe the defining infimum by brute force for verification.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Levels, ValidatedBatch, _check_gamma, _sorted_prefix, validate_batch
-from .sdr import _BOUNDARY_TOL, _mdr_evalues, _oracle_ell_candidates, _require_unit_weights
+from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _ratio_bounds, _read_at_t0, _require_unit_weights
 
 __all__ = [
     "MdrDecision",
@@ -80,26 +80,44 @@ def _single_point_batch(calib, test) -> ValidatedBatch:
     return validate_batch(calib, [test])
 
 
-def _decide(batch: ValidatedBatch, levels: Levels, evalues=None) -> tuple[np.ndarray, np.ndarray]:
-    """The MDR statistic and the deploy decision for every test point: the
-    one rule behind :func:`deploy_mask`, :func:`mdr_decide` and
-    :func:`weighted_mdr_decide`; ``evalues``, at ``gamma``, if already known."""
+def _decide(batch: ValidatedBatch, gamma: float, alpha: float = np.inf, evalues: bool = False):
+    """``(stats, mask, evalues)``: per test point the statistic, the decision
+    at ``Levels(alpha, gamma)`` and, where asked for or read (``gamma >
+    alpha``), the e-value at ``gamma``, all from one calibration prefix.
+
+    The e-value is the kernel's on the point alone, whose ratios ``fl(A *
+    f)`` and, from ``s_j`` on, ``fl(fl(A + w_j) * f)``, ``f = 1 / total_w``,
+    are nondecreasing in the calibration prefix ``A``.  So ``t(0)``'s prefix
+    ``a`` is the largest attained one (0 or a tie group's closing prefix) at
+    most ``sdr._ratio_bounds(gamma + tol, f)``, ``t(1) = t(0)`` where
+    ``fl(fl(a + w_j) * f) <= gamma + tol``, and ``s_j <= t(1)`` where that
+    holds at ``s_j``'s own prefix.  The read is the kernel's, at m = 1.
+    """
+    _check_gamma(gamma)
     sorted_scores, prefix0, _ = _sorted_prefix(batch.calib_scores,
                                                batch.calib_weights * batch.calib_risks)
-    k = np.searchsorted(sorted_scores, batch.test_scores, side="right")
-    total_w = np.sum(batch.calib_weights) + batch.test_weights
-    stats = (batch.test_weights + prefix0[k]) / total_w
-    mask = stats <= levels.gamma + _BOUNDARY_TOL
-    if levels.gamma > levels.alpha:
-        if evalues is None:
-            evalues = _mdr_evalues(batch, levels.gamma)
-        mask &= evalues >= 1 / levels.alpha
-    return stats, mask
+    own = prefix0[np.searchsorted(sorted_scores, batch.test_scores, side="right")]
+    w = batch.test_weights
+    total_w = np.sum(batch.calib_weights) + w
+    stats = (w + own) / total_w
+    bound = gamma + _BOUNDARY_TOL
+    mask = stats <= bound
+    e = None
+    if evalues or gamma > alpha:
+        closing = sorted_scores[1:] != sorted_scores[:-1]   # tie groups that close before the last
+        attained = np.concatenate(([0.0], prefix0[1:-1][closing], prefix0[-1:]))
+        f = 1 / total_w
+        with np.errstate(over="ignore", divide="ignore"):   # inf past the largest double, or at a = 0
+            a = attained[attained.searchsorted(_ratio_bounds(bound, f), side="right") - 1]
+            e = _read_at_t0(total_w, w, a, 1 / gamma, (a + w) * f <= bound)
+        e = np.where((own + w) * f <= bound, e, 0.0)
+        if gamma > alpha:
+            mask &= e >= 1 / alpha
+    return stats, mask, e
 
 
 def _point_decision(batch: ValidatedBatch, levels: Levels) -> MdrDecision:
-    evalues = _mdr_evalues(batch, levels.gamma)
-    stats, mask = _decide(batch, levels, evalues)
+    stats, mask, evalues = _decide(batch, levels.gamma, levels.alpha, evalues=True)
     return MdrDecision(deploy=bool(mask[0]), empirical_stat=float(stats[0]),
                        evalue_lower_bound=float(evalues[0]))
 
@@ -134,12 +152,12 @@ def mdr_evalue(calib, test_score: float, gamma: float) -> float:
     selective-risk kernel specialized to a single test point."""
     batch = _single_point_batch(calib, test_score)
     _require_unit_weights(batch, "mdr_evalue", "weighted_mdr_evalue")
-    return float(_mdr_evalues(batch, gamma)[0])
+    return float(_decide(batch, gamma, evalues=True)[2][0])
 
 
 def weighted_mdr_evalue(calib, test, gamma: float) -> float:
     """Exact weighted MDR e-value for one test point."""
-    return float(_mdr_evalues(_single_point_batch(calib, test), gamma)[0])
+    return float(_decide(_single_point_batch(calib, test), gamma, evalues=True)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,4 +217,4 @@ def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
 
 def deploy_mask(batch: ValidatedBatch, levels: Levels) -> np.ndarray:
     """Deploy decisions for every test point in the batch at once."""
-    return _decide(batch, levels)[1]
+    return _decide(batch, levels.gamma, levels.alpha)[1]

@@ -111,12 +111,9 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     and weighted paths (unit weights recover the exchangeable formulas).
 
     Per test point, ``t(0) >= t(1)`` are the largest thresholds feasible at
-    ``ell = 0`` and ``ell = 1``.  A locator finds them, and the e-value is
-    read at ``t(0)`` alone, whatever the weights.  A point whose score
-    exceeds ``t(1)`` gets 0.  Otherwise, with ``a`` and ``nt`` the ``A`` and
-    ``ntest`` at ``t(0)``, it is ``total_w / (w_j + a)`` where ``t(0) ==
-    t(1)`` (``ell = 1`` is feasible there), else ``max(min(total_w / a, m /
-    (gamma * nt)), total_w / (a + w_j))``.
+    ``ell = 0`` and ``ell = 1``.  A locator finds them, and a point whose
+    score exceeds ``t(1)`` gets 0; any other point's e-value is read at
+    ``t(0)`` alone, whatever the weights (:func:`_read_at_t0`).
 
     The infimum is the least objective over the ``ell = 0`` feasible
     thresholds ``t`` from ``t(1)`` to ``t(0)``, each at the ``ell`` in [0, 1]
@@ -158,42 +155,28 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     for gamma in gammas:
         _check_gamma(gamma)
     vals, desc_vals, desc_A, ntest = _descending_prefix(batch)
-    locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
-    evalues, i0, i1 = _located_evalues(batch, gammas, locate, batch.m, vals, desc_A, ntest,
-                                       desc_A / (1.0 + ntest))
-    return evalues, desc_vals[i0], desc_vals[i1]
-
-
-def _mdr_evalues(batch: ValidatedBatch, gamma: float) -> np.ndarray:
-    """Every test point's MDR e-value at ``gamma``: the kernel's on the point
-    alone (``m = 1``), whose covered count is 1 and key below ``s_j`` is
-    ``A``, so one pass serves the batch.  Other test scores add positions with
-    the ``A`` and coverage of the one below, so no e-value changes a bit."""
-    _check_gamma(gamma)
-    vals, _, desc_A, _ = _descending_prefix(batch)
-    one = np.ones(desc_A.size)
-    return _located_evalues(batch, (gamma,), _keyed_positions, 1, vals, desc_A, one, desc_A)[0][0]
-
-
-def _located_evalues(batch: ValidatedBatch, gammas: tuple, locate, m: int, vals, A, count, below):
-    """``(evalues, i0, i1)``: ``locate`` finds the descending positions of
-    ``t(0)`` / ``t(1)`` from the keys, and each e-value is read at ``t(0)``
-    as :func:`_sdr_kernel_grid` says, with ``m`` points in the estimate."""
     bounds = tuple(gamma + _BOUNDARY_TOL for gamma in gammas)
     w = batch.test_weights
     total_w = float(batch.calib_weights.sum()) + w
     K = vals.size - vals.searchsorted(batch.test_scores, side="left")
-    # An e-value or a ratio bound beyond the largest double reads inf, as does
-    # total_w / a at a zero prefix; a ratio bound then steps down to the
-    # largest double.
+    locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
+    # An e-value or a ratio bound past the largest double reads inf (a ratio
+    # bound then steps down to it), as does total_w / a at a zero prefix.
     with np.errstate(over="ignore", divide="ignore"):
-        i0, i1 = locate(bounds, A, count, below, w, m / total_w, K)
-        a, nt = A[i0], count[i0]
+        i0, i1 = locate(bounds, desc_A, ntest, w, batch.m / total_w, K)
         level = np.asarray(gammas, dtype=float)[:, None]
-        read = np.maximum(np.minimum(total_w / a, m / (level * nt)), total_w / (a + w))
-        read = np.where(i0 == i1, total_w / (w + a), read)
+        read = _read_at_t0(total_w, w, desc_A[i0], batch.m / (level * ntest[i0]), i0 == i1)
     covered = i1 < K                             # s_j <= t(1); the sentinel is never covered
-    return np.where(covered, read, 0.0), i0, i1
+    return np.where(covered, read, 0.0), desc_vals[i0], desc_vals[i1]
+
+
+def _read_at_t0(total_w, w, a, cutoff, same):
+    """A covered point's e-value at ``t(0)``, whose ``A`` and ``ntest`` are
+    ``a`` and ``nt``: ``total_w / (a + w_j)`` where ``same`` (``t(0) ==
+    t(1)``), else ``max(min(total_w / a, cutoff), total_w / (a + w_j))``,
+    with ``cutoff = m / (gamma * nt)``: ``1 / gamma`` for MDR."""
+    own = total_w / (a + w)
+    return np.where(same, own, np.maximum(np.minimum(total_w / a, cutoff), own))
 
 
 def _descending_prefix(batch: ValidatedBatch):
@@ -210,7 +193,7 @@ def _descending_prefix(batch: ValidatedBatch):
     return vals, *desc
 
 
-def _pointwise_positions(bounds: tuple, A, count, below, w, factor, K):
+def _pointwise_positions(bounds: tuple, A, ntest, w, factor, K):
     """The locator as one ``O(n+m)`` pass per test point.
 
     The ratios ``FR_j(t; 0)`` and ``FR_j(t; 1)`` do not depend on the level,
@@ -222,14 +205,15 @@ def _pointwise_positions(bounds: tuple, A, count, below, w, factor, K):
     """
     i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
-    with np.errstate(divide="ignore", invalid="ignore"):   # count may be 0 where uncovered
-        r = A / count
+    below = A / (1.0 + ntest)
+    with np.errstate(divide="ignore", invalid="ignore"):   # ntest may be 0 where uncovered
+        r = A / ntest
         for j, (k, wj, f) in enumerate(zip(K.tolist(), w.tolist(), factor.tolist())):
             covers = np.zeros(A.size, dtype=bool)
             covers[:k] = True                    # 1{s_j <= t}
             fr0 = np.where(covers, r, below)
             fr0 *= f
-            fr1 = np.where(covers, (A + wj) / count, below)
+            fr1 = np.where(covers, (A + wj) / ntest, below)
             fr1 *= f
             for g, bound in enumerate(bounds):
                 a = i0[g, j] = (fr0 <= bound).argmax()
@@ -276,9 +260,9 @@ def _first_at_most(q: np.ndarray, start: np.ndarray, bound: np.ndarray) -> np.nd
 _BLOCK = np.arange(64)
 
 
-def _first_feasible_at_one(bound: float, A, count, w, factor, lo, K):
+def _first_feasible_at_one(bound: float, A, ntest, w, factor, lo, K):
     """``(position, found)``: per point, the first position in ``[lo, K)``
-    where ``ell = 1`` is feasible, ``fl((A + w_j) / count * f_j) <= bound``,
+    where ``ell = 1`` is feasible, ``fl((A + w_j) / ntest * f_j) <= bound``,
     and whether there is one (``lo`` where not).
 
     ``t(1)`` sits a few positions below ``t(0)``, so the first ``64``
@@ -288,29 +272,28 @@ def _first_feasible_at_one(bound: float, A, count, w, factor, lo, K):
     feasible position and stops short of ``K_j`` scans the rest of its slice.
     """
     at = np.minimum(lo[:, None] + _BLOCK, K[:, None] - 1)
-    feasible = (A[at] + w[:, None]) / count[at] * factor[:, None] <= bound
+    feasible = (A[at] + w[:, None]) / ntest[at] * factor[:, None] <= bound
     first = feasible.argmax(axis=1)
     rows = np.arange(lo.size)
     position, found, rest = at[rows, first], feasible[rows, first], lo + _BLOCK.size
     for p in ((rest < K) > found).nonzero()[0].tolist():
         start, k = rest.item(p), K.item(p)
-        feasible = (A[start:k] + w.item(p)) / count[start:k] * factor.item(p) <= bound
+        feasible = (A[start:k] + w.item(p)) / ntest[start:k] * factor.item(p) <= bound
         d = feasible.argmax()
         if feasible[d]:
             position[p], found[p] = start + d, True
     return position, found
 
 
-def _keyed_positions(bounds: tuple, A, count, below, w, factor, K):
+def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
     """The locator with ``t(0)`` found for every point from keys free of j.
 
-    The caller gives the covered count and the key ``q`` below ``s_j``:
-    ``ntest`` and ``A / (1 + ntest)`` for SDR, 1 and ``A`` for MDR.  Where
-    covered, ``FR_j(t; 0) = fl(r * f_j)`` with ``r = A / count``; below
-    ``s_j`` both ratios are ``fl(q * f_j)``.  Neither key depends on ``j``,
-    and ``fl(x * f_j)`` is monotone in ``x``, so a position is feasible at
-    ``ell = 0`` exactly when its key is at most ``R_j``, the largest double
-    with ``fl(R_j * f_j) <= bound`` (:func:`_ratio_bounds`).  Per level:
+    On covered positions ``FR_j(t; 0)`` is ``fl(r * f_j)`` with ``r = A /
+    ntest``, and below ``s_j`` both ratios are ``fl(q * f_j)`` with ``q = A /
+    (1 + ntest)``.  Neither key depends on ``j``, and ``fl(x * f_j)`` is
+    monotone in ``x``, so a position is feasible at ``ell = 0`` exactly when
+    its key is at most ``R_j``, the largest double with ``fl(R_j * f_j) <=
+    bound`` (:func:`_ratio_bounds`).  Per level:
 
     * ``t(0)``'s position is one ``searchsorted`` of ``R`` on the running
       minimum of ``r``, kept when it lies below ``K_j``;
@@ -330,7 +313,7 @@ def _keyed_positions(bounds: tuple, A, count, below, w, factor, K):
     i0 = np.empty((len(bounds), K.size), dtype=np.intp)
     i1 = np.empty_like(i0)
     kmax = K.max(initial=0)                      # positions no point covers are left out
-    neg_min_r = -np.minimum.accumulate(A[:kmax] / count[:kmax])   # nondecreasing
+    neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
     per_block = max(1, A.size // _BLOCK.size)    # points per block: about A.size positions
     for g, bound in enumerate(bounds):
         R = _ratio_bounds(bound, factor)
@@ -338,15 +321,15 @@ def _keyed_positions(bounds: tuple, A, count, below, w, factor, K):
         hit = a < K
         b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        scan = (hit & ~((A[b] + w) / count[b] * factor <= bound)).nonzero()[0]
+        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= bound)).nonzero()[0]
         for c in range(0, scan.size, per_block):
             part = scan[c:c + per_block]
-            b[part], found = _first_feasible_at_one(bound, A, count, w[part], factor[part],
+            b[part], found = _first_feasible_at_one(bound, A, ntest, w[part], factor[part],
                                                     b[part], K[part])
             late[part] = ~found
         late = late.nonzero()[0]
         if late.size:
-            b[late] = _first_at_most(below, K[late], R[late])
+            b[late] = _first_at_most(A / (1.0 + ntest), K[late], R[late])
         i0[g] = np.where(hit, a, b)
         i1[g] = b
     return i0, i1
@@ -527,11 +510,9 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
     bound = alpha + _BOUNDARY_TOL
 
     def feasible(numerator: np.ndarray) -> np.ndarray:
-        # With no test points the factor is 0 and inf * 0 is nan: infeasible.
+        # Risk over no test point reads inf; with m = 0, inf * 0 is nan: infeasible.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(test_count > 0, numerator / np.maximum(test_count, 1),
-                             np.where(numerator > 0, np.inf, 0.0))
-            return ratio * (m / (n + 1.0)) <= bound
+            return np.where(numerator > 0, numerator / test_count, 0.0) * (m / (n + 1.0)) <= bound
 
     plain = feasible(risk_sum)
     hat, covered = _own_term_threshold(thresholds, batch.test_scores, plain, feasible(risk_sum + 1.0))

@@ -13,7 +13,8 @@ import pytest
 
 import score_kit as sk
 from score_kit.core import ValidatedBatch
-from score_kit.sdr import _mdr_evalues, _sdr_kernel
+from score_kit.mdr import _decide
+from score_kit.sdr import _sdr_kernel
 from helpers import (mc_bound_ok, random_mdr_instance, random_sdr_instance,
                      risk_evalue_products, thresholded)
 
@@ -79,7 +80,7 @@ def test_criterion_1_evalue_validity():
     for _ in range(reps):
         cs, cl, ts, tl = _exch_setup(rng, n, m, setting)
         batch = ValidatedBatch(cs, cl, ones_n, ts, ones_m)
-        sums["mdr"].append(risk_evalue_products(tl, _mdr_evalues(batch, gamma)).mean())
+        sums["mdr"].append(risk_evalue_products(tl, _decide(batch, gamma, evalues=True)[2]).mean())
         sums["sdr"].append(risk_evalue_products(tl, _sdr_kernel(batch, gamma)[0]).mean())
 
         cons = sk.sdr_evalues_conservative(batch, None, alpha=gamma).evalues
@@ -87,7 +88,7 @@ def test_criterion_1_evalue_validity():
 
         cs, cl, cw, ts, tl, tw = _shifted_setup(rng, n, m, setting, shift)
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
-        sums["wmdr"].append(risk_evalue_products(tl, _mdr_evalues(batch, gamma)).mean())
+        sums["wmdr"].append(risk_evalue_products(tl, _decide(batch, gamma, evalues=True)[2]).mean())
         sums["wsdr"].append(risk_evalue_products(tl, _sdr_kernel(batch, gamma)[0]).mean())
 
     details = []

@@ -6,7 +6,8 @@ import pytest
 from score_kit import (Levels, TestPoint, ValidatedBatch, deploy_mask, mdr_decide, mdr_evalue, mdr_evalue_oracle,
                        validate_batch, weighted_mdr_decide, weighted_mdr_evalue,
                        weighted_mdr_evalue_oracle)
-from score_kit.sdr import _BOUNDARY_TOL, _mdr_evalues, _sdr_kernel
+from score_kit.mdr import _decide
+from score_kit.sdr import _BOUNDARY_TOL, _sdr_kernel
 from helpers import (boundary_instance, exchangeable_pairs, mc_bound_ok, random_mdr_instance,
                      risk_evalue_products, thresholded)
 
@@ -235,7 +236,7 @@ def test_weighted_evalue_validity_squared_error_risk():
         tl = risk_of(risk, f(test_x), test_y)
         cw = shift_weight(shift, calib_x)
         tw = shift_weight(shift, test_x)
-        per_rep.append(risk_evalue_products(tl, _mdr_evalues(ValidatedBatch(cs, cl, cw, ts, tw), 0.25)).mean())
+        per_rep.append(risk_evalue_products(tl, _decide(ValidatedBatch(cs, cl, cw, ts, tw), 0.25, evalues=True)[2]).mean())
     ok, mean, se = mc_bound_ok(per_rep)
     assert ok, f"mean(L*E) = {mean:.4f} > 1 + 3*{se:.4f}"
 
@@ -260,7 +261,7 @@ def test_mdr_batch_equals_one_point_kernel_calls():
             tw *= np.where(rng.uniform(size=m) < 0.3, 60.0, 1.0)
         gamma = float(rng.uniform(0.05, 0.9))
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
-        got = _mdr_evalues(batch, gamma)
+        got = _decide(batch, gamma, evalues=True)[2]
         want = np.array([_sdr_kernel(ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
                          for j in range(m)])
         assert got.tobytes() == want.tobytes(), (k, got, want)
@@ -268,6 +269,51 @@ def test_mdr_batch_equals_one_point_kernel_calls():
         counts[0] += m - positive
         counts[1] += positive
     assert counts[0] >= 500 and counts[1] >= 4000, counts
+
+
+def test_mdr_evalues_at_a_zero_prefix_and_extreme_scales():
+    # A point below every calibration score whose lowest tie group alone
+    # exceeds the ratio bound has t(0) at its own score, where the prefix is
+    # 0: e = 11 / (1 + 0), the oracle's value, not 11 / (1 + 3).
+    calib = [(0.1, 1.0)] * 3 + [(0.2 + 0.1 * i, 0.0) for i in range(7)]
+    assert mdr_evalue(calib, 0.0, 0.2) == 11.0 == mdr_evalue_oracle(calib, 0.0, 0.2)
+    assert weighted_mdr_decide(calib, (0.0, 1.0), Levels(0.1, 0.2)).evalue_lower_bound == 11.0
+    # The batch against one-point kernel calls, bit for bit, where such
+    # points are common: a heavy lowest tie group, test scores below every
+    # calibration score, levels from subnormal to 1e300, and test weights
+    # up to 1e6 times the calibration weights or 1e-13 times them.
+    rng = np.random.default_rng(52)
+    zero_prefix = positive = 0
+    for k in range(400):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        cs, ts = 0.1 + np.round(rng.uniform(size=n), 1), np.round(rng.uniform(-0.5, 1.1, size=m), 1)
+        cs[:int(rng.integers(0, n + 1))] = 0.1   # the lowest tie group
+        cl = rng.integers(0, 5, size=n) / 4.0 if k % 2 else np.where(cs == 0.1, 1.0, 0.0)
+        cw, tw = np.ones(n), np.ones(m)
+        if k % 4 == 1:
+            cw, tw = np.exp(rng.standard_normal(n)), np.exp(rng.standard_normal(m))
+            tw *= np.where(rng.uniform(size=m) < 0.3, 1e6, 1.0)
+        elif k % 4 == 3:
+            cw *= 1e13
+        gamma = float(rng.choice([5e-324, 1e-13, 0.05, 0.2, 0.5, 1e300]))
+        batch = ValidatedBatch(cs, cl, cw, ts, tw)
+        got = _decide(batch, gamma, evalues=True)[2]
+        want = np.array([_sdr_kernel(ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
+                         for j in range(m)])
+        assert got.tobytes() == want.tobytes(), (k, got, want)
+        # points whose t(0) reads the prefix 0 while the lowest group is infeasible
+        total_w = cw.sum() + tw
+        lowest = np.sum((cw * cl)[cs == cs.min()]) / total_w > gamma + _BOUNDARY_TOL
+        zero_prefix += int(np.count_nonzero((got > 0.0) & (ts < cs.min()) & lowest))
+        positive += int(np.count_nonzero(got > 0.0))
+    assert zero_prefix >= 200 and positive >= 800, (zero_prefix, positive)
+    # with no calibration data the one attained prefix is 0
+    empty, ts, tw = np.array([]), np.array([0.3, 0.5]), np.array([1.0, 0.5])
+    for gamma in (0.3, 2.0):
+        want = np.array([_sdr_kernel(ValidatedBatch(empty, empty, empty, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
+                         for j in range(2)])
+        got = _decide(ValidatedBatch(empty, empty, empty, ts, tw), gamma, evalues=True)[2]
+        assert got.tobytes() == want.tobytes(), (gamma, got, want)
 
 
 def _no_crossing_per_point(batch, j, levels):

@@ -259,12 +259,11 @@ def test_kernel_grid_one_ulp_cases(case):
 def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
     # Non-unit weights take the keyed locator and unit weights the loop; on
     # either kind of instance both give the same positions of t(0) and t(1)
-    # from the same inputs, the SDR kernel's keys and the MDR e-values', so
-    # the loop can retire once the unit-weight locator is loop-free.  Every
-    # grid also holds the subnormal level 5e-324, whose bound is 1e-12.
-    # Weighted runs add lone test points beside a few hundred calibration
-    # points; a heavy one puts t(1) beyond the first 64 positions below
-    # t(0), past the ell = 1 search's block.
+    # from the same inputs, so the loop can retire once the unit-weight
+    # locator is loop-free.  Every grid also holds the subnormal level
+    # 5e-324, whose bound is 1e-12.  Weighted runs add lone test points
+    # beside a few hundred calibration points; a heavy one puts t(1) beyond
+    # the first 64 positions below t(0), past the ell = 1 search's block.
     keyed, loop = sdr_module._keyed_positions, sdr_module._pointwise_positions
     compared = []
 
@@ -294,7 +293,6 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
             continue
         gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2), 5e-324)
         ev, t0, t1 = _sdr_kernel_grid(batch, gammas)
-        sdr_module._mdr_evalues(batch, gammas[0])
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
         if batch.m == 1 and batch.n >= 100:
@@ -302,7 +300,7 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
             gap = vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
             for far in (False, True):
                 lone[far] += int(np.count_nonzero((ev > 0.0) & (gap > 0) & ((gap >= 64) == far)))
-    assert len(compared) == 2 * checked >= 2000 and windowed >= 300, (checked, windowed)
+    assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
     assert weights == "unit" or min(lone) >= 20, lone
 
 
