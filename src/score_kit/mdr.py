@@ -13,15 +13,18 @@ with ``t(ell)`` the largest pooled score whose empirical risk estimate
     F(t; ell) = [sum_i L_i 1{s_i <= t} + ell * 1{s_test <= t}] / (n + 1)
 
 stays below ``gamma``.  For ``gamma <= alpha`` the thresholded decision
-reduces exactly to one comparison, with ``tol = 1e-12``
+reduces, in real arithmetic, to one comparison, with ``tol = 1e-12``
 (``sdr._BOUNDARY_TOL``), the tolerance of every feasibility test,
 
     deploy  <=>  (1 + sum_i L_i 1{s_i <= s_test}) / (n + 1) <= gamma + tol.
 
-For ``gamma > alpha`` the decision also reads the e-value: it must reach
-``1 / alpha``.  The weighted variants replace every calibration term by its
-weighted version and ``n + 1`` by the total weight, giving finite-sample
-control under covariate shift with known (or plugged-in) weights.
+At every level the decision reads both: the comparison, and the e-value
+reaching ``1 / alpha``.  So a deployed point's e-value always reaches
+``1 / alpha``; at ``gamma <= alpha`` the e-value only removes points whose
+risk sums round (tenths, not dyadic) so that it sits an ulp below.  The
+weighted variants replace every calibration term by its weighted version
+and ``n + 1`` by the total weight, giving finite-sample control under
+covariate shift with known (or plugged-in) weights.
 
 One vectorized rule evaluates this for all test points at once, reading the
 sums from the calibration scores' sorted prefix: :func:`deploy_mask`
@@ -60,13 +63,12 @@ class MdrDecision:
     """Deploy/abstain outcome for one test point.
 
     ``empirical_stat`` is the left-hand statistic of the shortcut comparison;
-    ``evalue_lower_bound`` is the exact e-value (diagnostic only): the
-    decision at any level ``alpha'`` with ``1/alpha'`` below this bound would
-    also deploy.
+    ``evalue_lower_bound`` is the exact e-value: the decision at any level
+    ``alpha'`` with ``1/alpha'`` below this bound would also deploy.
 
-    ``deploy`` reads the statistic, with the 1e-12 tolerance, and at ``gamma
-    > alpha`` also the e-value.  So at ``gamma <= alpha``, where risk sums
-    round (tenths, not dyadic), the e-value can sit an ulp below ``1/alpha``.
+    ``deploy`` reads the statistic, with the 1e-12 tolerance, and the
+    e-value at every level, so a deployed point's ``evalue_lower_bound``
+    always reaches ``1/alpha``.
     """
 
     deploy: bool
@@ -80,10 +82,11 @@ def _single_point_batch(calib, test) -> ValidatedBatch:
     return validate_batch(calib, [test])
 
 
-def _decide(batch: ValidatedBatch, gamma: float, alpha: float = np.inf, evalues: bool = False):
+def _decide(batch: ValidatedBatch, gamma: float, alpha: float = np.inf):
     """``(stats, mask, evalues)``: per test point the statistic, the decision
-    at ``Levels(alpha, gamma)`` and, where asked for or read (``gamma >
-    alpha``), the e-value at ``gamma``, all from one calibration prefix.
+    at ``Levels(alpha, gamma)`` and the e-value at ``gamma``, all from one
+    calibration prefix.  A point deploys where its statistic is at most
+    ``gamma + tol`` and its e-value reaches ``1 / alpha``.
 
     The e-value is the kernel's on the point alone, whose ratios ``fl(A *
     f)`` and, from ``s_j`` on, ``fl(fl(A + w_j) * f)``, ``f = 1 / total_w``,
@@ -101,23 +104,18 @@ def _decide(batch: ValidatedBatch, gamma: float, alpha: float = np.inf, evalues:
     total_w = np.sum(batch.calib_weights) + w
     stats = (w + own) / total_w
     bound = gamma + _BOUNDARY_TOL
-    mask = stats <= bound
-    e = None
-    if evalues or gamma > alpha:
-        closing = sorted_scores[1:] != sorted_scores[:-1]   # tie groups that close before the last
-        attained = np.concatenate(([0.0], prefix0[1:-1][closing], prefix0[-1:]))
-        f = 1 / total_w
-        with np.errstate(over="ignore", divide="ignore"):   # inf past the largest double, or at a = 0
-            a = attained[attained.searchsorted(_ratio_bounds(bound, f), side="right") - 1]
-            e = _read_at_t0(total_w, w, a, 1 / gamma, (a + w) * f <= bound)
-        e = np.where((own + w) * f <= bound, e, 0.0)
-        if gamma > alpha:
-            mask &= e >= 1 / alpha
-    return stats, mask, e
+    closing = sorted_scores[1:] != sorted_scores[:-1]   # tie groups that close before the last
+    attained = np.concatenate(([0.0], prefix0[1:-1][closing], prefix0[-1:]))
+    f = 1 / total_w
+    with np.errstate(over="ignore", divide="ignore"):   # inf past the largest double, or at a = 0
+        a = attained[attained.searchsorted(_ratio_bounds(bound, f), side="right") - 1]
+        e = _read_at_t0(total_w, w, a, 1 / gamma, (a + w) * f <= bound)
+    e = np.where((own + w) * f <= bound, e, 0.0)
+    return stats, (stats <= bound) & (e >= 1 / alpha), e
 
 
 def _point_decision(batch: ValidatedBatch, levels: Levels) -> MdrDecision:
-    stats, mask, evalues = _decide(batch, levels.gamma, levels.alpha, evalues=True)
+    stats, mask, evalues = _decide(batch, levels.gamma, levels.alpha)
     return MdrDecision(deploy=bool(mask[0]), empirical_stat=float(stats[0]),
                        evalue_lower_bound=float(evalues[0]))
 
@@ -152,12 +150,12 @@ def mdr_evalue(calib, test_score: float, gamma: float) -> float:
     selective-risk kernel specialized to a single test point."""
     batch = _single_point_batch(calib, test_score)
     _require_unit_weights(batch, "mdr_evalue", "weighted_mdr_evalue")
-    return float(_decide(batch, gamma, evalues=True)[2][0])
+    return float(_decide(batch, gamma)[2][0])
 
 
 def weighted_mdr_evalue(calib, test, gamma: float) -> float:
     """Exact weighted MDR e-value for one test point."""
-    return float(_decide(_single_point_batch(calib, test), gamma, evalues=True)[2][0])
+    return float(_decide(_single_point_batch(calib, test), gamma)[2][0])
 
 
 # ---------------------------------------------------------------------------

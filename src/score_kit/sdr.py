@@ -22,22 +22,26 @@ Under covariate shift with weights ``w``, the same construction applies with
 every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 ``w_j + sum_i w_i``, and the ``ell`` term weighted by ``w_j``.
 
-Three readers of one pooled prefix over the score-sorted data, each in
-``O(n+m)`` memory: :func:`sdr_evalues` / :func:`weighted_sdr_evalues`
-compute the infimum exactly; :func:`sdr_evalues_at` evaluates the objective
-at one fixed ``ell`` and :func:`sdr_evalues_conservative` (simpler, slightly
-conservative) avoids the infimum, both in ``O((n+m) log(n+m))`` time and for
-unit weights only.  The brute-force oracles :func:`sdr_evalues_oracle` /
-:func:`weighted_sdr_evalues_oracle` are deliberately separate; they build
-threshold-by-n comparison matrices and are meant for small instances.
+Every reader takes its thresholds from one locator over the score-sorted
+pooled prefix, in ``O(n+m)`` memory and ``O((n+m) log(n+m))`` time per
+level: :func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the
+infimum exactly; :func:`sdr_evalues_at` evaluates the objective at one fixed
+``ell``, weighted or not, and :func:`sdr_evalues_conservative` (simpler,
+slightly conservative, unit weights) avoids the infimum, both from the
+locator's ``t_j(1)`` at their one level.  The brute-force oracles
+:func:`sdr_evalues_oracle` / :func:`weighted_sdr_evalues_oracle` are
+deliberately separate; they build threshold-by-n comparison matrices and
+are meant for small instances.
 
 The exact kernel, ``_sdr_kernel_grid``, takes a grid of levels and returns
 the e-values, ``t_j(0)`` and ``t_j(1)`` with shape ``(levels, m)``, ``nan``
 marking an absent threshold; a grid gives the bits of one call per level.
 It locates the two thresholds for every point and level, then reads each
-e-value at ``t_j(0)`` in closed form, exact in floating point.  Non-unit
-weights locate them in ``O((n+m) log(n+m))`` per level; unit weights take
-one ``O(n+m)`` pass per point, the only Python loop that visits every point.
+e-value at ``t_j(0)`` in closed form, exact in floating point.  With unit
+weights it still locates them by one ``O(n+m)`` pass per point, which gives
+the locator's positions and is the only Python loop that visits every
+point, until the select-sdr benchmark bounds the state it keeps per
+operation (see ``_sdr_kernel_grid``).
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ class SdrEvalueSet:
     ``t_j(0)`` / ``t_j(1)`` at the endpoints of the candidate-risk interval;
     ``nan`` means no pooled score was feasible.  ``evalues[j]`` is zero
     whenever the test score exceeds ``thresholds_at_1[j]``.
-    :func:`sdr_evalues_conservative` fills them with its own cutoffs
-    instead: ``t_tilde`` (shared by every point) and ``t_hat_j``.
+    :func:`sdr_evalues_conservative` fills ``thresholds_at_0`` with its own
+    cutoff ``t_tilde``, shared by every point, and ``thresholds_at_1`` with
+    ``t_hat_j``, the kernel's ``t_j(1)`` at ``gamma = alpha``.
     """
 
     evalues: np.ndarray
@@ -92,18 +97,6 @@ def _require_unit_weights(batch: ValidatedBatch, name: str, weighted: str | None
         if weighted is None:
             raise ValueError(f"{name} takes unit weights only; its construction has no weighted variant")
         raise ValueError(f"{name} is the unweighted path; use {weighted} for non-unit weights")
-
-
-def _pooled_prefix(batch: ValidatedBatch):
-    """``(vals, A, ntest)``: the pooled scores in ascending order, the weighted
-    calibration risk over scores ``<= vals[i]`` and the (float) count of test
-    scores ``<= vals[i]``.  Ties share ``A`` and ``ntest``."""
-    contrib = np.zeros(batch.n + batch.m)       # tests add no calibration risk
-    np.multiply(batch.calib_weights, batch.calib_risks, out=contrib[:batch.n])
-    vals, prefix0, _ = _sorted_prefix(np.concatenate((batch.calib_scores, batch.test_scores)), contrib)
-    A = prefix0[vals.searchsorted(vals, side="right")]
-    ntest = np.sort(batch.test_scores).searchsorted(vals, side="right").astype(float)
-    return vals, A, ntest
 
 
 def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
@@ -141,12 +134,12 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     level, which the keyed locator's tests also take as their reference.
 
     Unit weights keep the loop for one reason.  Faster locators with the same
-    bits exist: the loop without per-point temporaries, or a loop-free one on
-    the rule of :func:`_own_term_threshold`, since every point then shares
-    ``m / (n + 1)``.  But the select-sdr benchmark keeps state per completed
-    operation: without temporaries, 55-75% more ``points_per_s`` put its
-    ``peak_rss_mb`` at 98-105 MB against 76 MB, past the 0.1 bound.  The loop
-    goes once the benchmark bounds that state (ROADMAP.md item 1).
+    bits exist: the loop without per-point temporaries, or the keyed locator
+    that every other reader already takes.  But the select-sdr benchmark
+    keeps state per completed operation: without temporaries, 55-75% more
+    ``points_per_s`` put its ``peak_rss_mb`` at 98-105 MB against 76 MB,
+    past the 0.1 bound.  The loop goes once the benchmark bounds that state
+    (ROADMAP.md item 1).
 
     Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
     ``nan`` marking absent thresholds.
@@ -154,11 +147,10 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     gammas = tuple(gammas)
     for gamma in gammas:
         _check_gamma(gamma)
-    vals, desc_vals, desc_A, ntest = _descending_prefix(batch)
+    desc_vals, desc_A, ntest, K = _descending_prefix(batch)
     bounds = tuple(gamma + _BOUNDARY_TOL for gamma in gammas)
     w = batch.test_weights
     total_w = float(batch.calib_weights.sum()) + w
-    K = vals.size - vals.searchsorted(batch.test_scores, side="left")
     locate = _pointwise_positions if batch.has_unit_weights else _keyed_positions
     # An e-value or a ratio bound past the largest double reads inf (a ratio
     # bound then steps down to it), as does total_w / a at a zero prefix.
@@ -180,17 +172,24 @@ def _read_at_t0(total_w, w, a, cutoff, same):
 
 
 def _descending_prefix(batch: ValidatedBatch):
-    """``(vals, desc_vals, desc_A, desc_ntest)``: the pooled prefix, the last
-    three in descending score order, where the first True of a feasibility
-    mask is the largest feasible threshold.  They end in a sentinel position,
+    """``(desc_vals, desc_A, desc_ntest, K)``: the pooled scores, the
+    weighted calibration risk over scores ``<=`` each and the (float) count
+    of test scores ``<=`` each, in descending score order, where the first
+    True of a feasibility mask is the largest feasible threshold; ties share
+    ``A`` and ``ntest``.  ``K_j`` counts the positions at or above test score
+    ``j``, the ones it covers.  The three arrays end in a sentinel position,
     ``size``: score ``nan``, no risk and no test, so every ratio there is 0
     and feasible at every level, and a search that finds nothing before it
     stops there."""
-    vals, A, ntest = _pooled_prefix(batch)
+    contrib = np.zeros(batch.n + batch.m)       # tests add no calibration risk
+    np.multiply(batch.calib_weights, batch.calib_risks, out=contrib[:batch.n])
+    vals, prefix0, _ = _sorted_prefix(np.concatenate((batch.calib_scores, batch.test_scores)), contrib)
     desc = np.zeros((3, vals.size + 1))
     desc[0, -1] = np.nan
-    desc[0, -2::-1], desc[1, -2::-1], desc[2, -2::-1] = vals, A, ntest
-    return vals, *desc
+    desc[0, -2::-1] = vals
+    desc[1, -2::-1] = prefix0[vals.searchsorted(vals, side="right")]
+    desc[2, -2::-1] = np.sort(batch.test_scores).searchsorted(vals, side="right")
+    return *desc, vals.size - vals.searchsorted(batch.test_scores, side="left")
 
 
 def _pointwise_positions(bounds: tuple, A, ntest, w, factor, K):
@@ -452,41 +451,32 @@ def weighted_sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int =
 
 
 # ---------------------------------------------------------------------------
-# Fixed-ell and conservative e-values: one threshold per point, from the prefix.
+# Fixed-ell and conservative e-values: one threshold per point, the kernel's
+# t(1) read from the keyed locator at one level.
 # ---------------------------------------------------------------------------
-
-def _own_term_threshold(vals: np.ndarray, test_scores: np.ndarray,
-                        plain: np.ndarray, plus: np.ndarray):
-    """``(hat, covered)``: per test point, the index of its last feasible
-    pooled threshold (-1 if none) and whether that lies at or above its score.
-    ``plain`` / ``plus`` mark feasibility without / with the point's own term,
-    which enters from ``first[j]``, the first threshold ``>= s_j``; so the
-    last ``plus`` index counts when it is ``>= first[j]``."""
-    last_plain = np.maximum.accumulate(np.concatenate(([-1], np.where(plain, np.arange(plain.size), -1))))
-    last_plus = np.max(np.flatnonzero(plus), initial=-1)
-    first = np.searchsorted(vals, test_scores, side="left")
-    covered = last_plus >= first
-    return np.where(covered, last_plus, last_plain[first]), covered
-
 
 def sdr_evalues_at(calib, tests, gamma: float, ell: float) -> np.ndarray:
     """Evaluate the SDR e-value objective at a single fixed candidate risk
-    ``ell`` (no infimum), for unit weights.  ``ell = 1`` gives the variant
-    that, for binary risks with ``gamma`` equal to the eBH level, makes eBH
-    selection coincide with BH on clipped conformal p-values."""
+    ``ell`` (no infimum), using the weights carried by the calibration
+    samples and test points.  ``ell = 1`` gives the variant that, for binary
+    risks with ``gamma`` equal to the eBH level, makes eBH selection coincide
+    with BH on clipped conformal p-values.
+
+    This is the kernel's ``t_j(1)`` with ``ell * w_j`` in place of ``w_j``:
+    ``total_w / (A + ell * w_j)`` at that threshold where it lies at or above
+    ``s_j``, else 0."""
     _check_gamma(gamma)
     if not (0.0 <= ell <= 1.0):
         raise ValueError(f"ell must lie in [0, 1], got {ell!r}")
     batch = validate_batch(calib, tests)
-    _require_unit_weights(batch, "sdr_evalues_at")
-    vals, A, ntest = _pooled_prefix(batch)
-    factor = batch.m / (batch.n + 1.0)
-    bound = gamma + _BOUNDARY_TOL
-    # 1 + #{other tests <= t} is 1 + ntest below s_j and ntest (>= 1) from s_j on.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hat, covered = _own_term_threshold(vals, batch.test_scores, A / (1.0 + ntest) * factor <= bound,
-                                           (ell + A) / ntest * factor <= bound)
-        return np.where(covered, (batch.n + 1.0) / (ell + A[hat]), 0.0)
+    _, A, ntest, K = _descending_prefix(batch)
+    w = ell * batch.test_weights
+    total_w = float(batch.calib_weights.sum()) + batch.test_weights
+    # As in the kernel: a ratio bound or an e-value past the largest double,
+    # or total_w / 0 at ell = 0, reads inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        i1 = _keyed_positions((gamma + _BOUNDARY_TOL,), A, ntest, w, batch.m / total_w, K)[1][0]
+        return np.where(i1 < K, total_w / (A[i1] + w), 0.0)
 
 
 def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
@@ -496,31 +486,29 @@ def sdr_evalues_conservative(calib, tests, alpha: float) -> SdrEvalueSet:
 
         e_j = 1{s_j <= t_hat_j} * m / (alpha * #{test scores <= t_tilde}),
 
-    where ``t_hat_j`` is the largest pooled score whose estimated selective
-    risk (with the test point's own risk as 1) is at most ``alpha + 1e-12``
-    and ``t_tilde`` is its analogue without the test term.  The e-value is zero
-    when ``t_hat_j`` does not exist or no test score falls below ``t_tilde``.
+    where ``t_hat_j`` is the kernel's ``t_j(1)`` at ``gamma = alpha``: the
+    largest pooled score whose estimated selective risk ``FR_j(t; 1)``, with
+    the test point's own risk as 1, is at most ``alpha + 1e-12``.
+    ``t_tilde`` is the largest pooled score at which the calibration risk up
+    to it, over the count of test scores up to it, times ``m / (n + 1)``, is
+    at most ``alpha + 1e-12``.  The e-value is zero when ``t_hat_j`` lies
+    below ``s_j`` or no test score falls below ``t_tilde``.
     """
     _check_alpha(alpha)
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues_conservative")
-    n, m = batch.n, batch.m
-    # Ties share risk_sum and test_count, so no rule below splits a group.
-    thresholds, risk_sum, test_count = _pooled_prefix(batch)
+    m = batch.m
+    # Ties share A and ntest, so no rule below splits a group.
+    vals, A, ntest, K = _descending_prefix(batch)
+    factor = m / (batch.n + 1.0)
     bound = alpha + _BOUNDARY_TOL
-
-    def feasible(numerator: np.ndarray) -> np.ndarray:
-        # Risk over no test point reads inf; with m = 0, inf * 0 is nan: infeasible.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(numerator > 0, numerator / test_count, 0.0) * (m / (n + 1.0)) <= bound
-
-    plain = feasible(risk_sum)
-    hat, covered = _own_term_threshold(thresholds, batch.test_scores, plain, feasible(risk_sum + 1.0))
-    tilde = np.max(np.flatnonzero(plain), initial=-1)
-    t_tilde = thresholds[tilde] if tilde >= 0 else np.nan
-    denom_count = test_count[tilde] if tilde >= 0 else 0
-    t_hat = np.where(hat >= 0, thresholds[hat], np.nan)
+    # Risk over no test point reads inf; with m = 0, inf * 0 is nan: infeasible.
+    # The sentinel is always feasible: where nothing else is, t_tilde is nan
+    # and counts no test score.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tilde = (np.where(A > 0, A / ntest, 0.0) * factor <= bound).argmax()
+    i1 = _keyed_positions((bound,), A, ntest, batch.test_weights, np.full(m, factor), K)[1][0]
     evalues = np.zeros(m)
-    if denom_count:
-        evalues[covered] = m / (alpha * denom_count)   # eBH's own cutoff at tau = denom_count
-    return SdrEvalueSet(evalues, np.full(m, t_tilde), t_hat)
+    if ntest[tilde]:
+        evalues[i1 < K] = m / (alpha * ntest[tilde])   # eBH's own cutoff at tau = ntest[tilde]
+    return SdrEvalueSet(evalues, np.full(m, vals[tilde]), vals[i1])

@@ -116,8 +116,8 @@ def mc_bound_ok(per_rep_means, bound=1.0, k_se=3.0):
 # ---------------------------------------------------------------------------
 
 def dense_sdr_evalues_conservative(calib, tests, alpha):
-    """``(evalues, t_tilde, t_hat)`` of ``sdr_evalues_conservative``, one
-    per-point scan over the pooled thresholds."""
+    """``(evalues, t_tilde)`` of ``sdr_evalues_conservative``, one per-point
+    scan over the pooled thresholds for the covered set."""
     batch = validate_batch(calib, tests)
     n, m = batch.n, batch.m
     thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
@@ -135,14 +135,13 @@ def dense_sdr_evalues_conservative(calib, tests, alpha):
     t_tilde = largest_feasible(risk_sum)
     denom_count = int(np.sum(batch.test_scores <= t_tilde)) if not np.isnan(t_tilde) else 0
     evalues = np.zeros(m)
-    t_hat = np.full(m, np.nan)
     for j in range(m):
         sj = batch.test_scores[j]
-        t_hat[j] = largest_feasible(risk_sum + (sj <= thresholds))
-        if np.isnan(t_hat[j]) or sj > t_hat[j] or denom_count == 0:
+        t_hat = largest_feasible(risk_sum + (sj <= thresholds))
+        if np.isnan(t_hat) or sj > t_hat or denom_count == 0:
             continue
         evalues[j] = m / (alpha * denom_count)
-    return evalues, np.full(m, t_tilde), t_hat
+    return evalues, np.full(m, t_tilde)
 
 
 def dense_empirical_rademacher(scores, values, signs):

@@ -236,7 +236,7 @@ def test_weighted_evalue_validity_squared_error_risk():
         tl = risk_of(risk, f(test_x), test_y)
         cw = shift_weight(shift, calib_x)
         tw = shift_weight(shift, test_x)
-        per_rep.append(risk_evalue_products(tl, _decide(ValidatedBatch(cs, cl, cw, ts, tw), 0.25, evalues=True)[2]).mean())
+        per_rep.append(risk_evalue_products(tl, _decide(ValidatedBatch(cs, cl, cw, ts, tw), 0.25)[2]).mean())
     ok, mean, se = mc_bound_ok(per_rep)
     assert ok, f"mean(L*E) = {mean:.4f} > 1 + 3*{se:.4f}"
 
@@ -261,7 +261,7 @@ def test_mdr_batch_equals_one_point_kernel_calls():
             tw *= np.where(rng.uniform(size=m) < 0.3, 60.0, 1.0)
         gamma = float(rng.uniform(0.05, 0.9))
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
-        got = _decide(batch, gamma, evalues=True)[2]
+        got = _decide(batch, gamma)[2]
         want = np.array([_sdr_kernel(ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
                          for j in range(m)])
         assert got.tobytes() == want.tobytes(), (k, got, want)
@@ -297,7 +297,7 @@ def test_mdr_evalues_at_a_zero_prefix_and_extreme_scales():
             cw *= 1e13
         gamma = float(rng.choice([5e-324, 1e-13, 0.05, 0.2, 0.5, 1e300]))
         batch = ValidatedBatch(cs, cl, cw, ts, tw)
-        got = _decide(batch, gamma, evalues=True)[2]
+        got = _decide(batch, gamma)[2]
         want = np.array([_sdr_kernel(ValidatedBatch(cs, cl, cw, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
                          for j in range(m)])
         assert got.tobytes() == want.tobytes(), (k, got, want)
@@ -312,7 +312,7 @@ def test_mdr_evalues_at_a_zero_prefix_and_extreme_scales():
     for gamma in (0.3, 2.0):
         want = np.array([_sdr_kernel(ValidatedBatch(empty, empty, empty, ts[j:j + 1], tw[j:j + 1]), gamma)[0][0]
                          for j in range(2)])
-        got = _decide(ValidatedBatch(empty, empty, empty, ts, tw), gamma, evalues=True)[2]
+        got = _decide(ValidatedBatch(empty, empty, empty, ts, tw), gamma)[2]
         assert got.tobytes() == want.tobytes(), (gamma, got, want)
 
 
@@ -408,18 +408,26 @@ def test_decide_matches_deploy_mask_on_tied_dyadic_instances():
 
 
 def test_decision_and_evalue_agree_at_gamma_alpha():
-    # The e-value's middle term 1 / (gamma * 1) is the cutoff 1 / alpha in
-    # the same expression, so on tied, dyadic instances each single-point
-    # decision deploys exactly when its e-value reaches 1 / alpha, unguarded.
+    # A point deploys only where its e-value reaches 1 / alpha, so each
+    # single-point decision deploys exactly when its e-value does, unguarded.
+    # On tied, dyadic instances the statistic alone agrees with that; on
+    # tenths the risk sums round, and the statistic can pass gamma + 1e-12
+    # while the e-value sits an ulp below 1 / alpha.
     rng = np.random.default_rng(49)
     deployed = 0
-    for trial in range(4000):
-        n = int(rng.integers(1, 25))
-        cs = rng.integers(0, 5, size=n).astype(float)
-        cl = rng.integers(0, 9, size=n) / 8.0 if trial % 2 else rng.integers(0, 5, size=n) / 4.0
-        s = float(rng.integers(0, 5))
-        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5, 0.6]))
-        if trial % 3:
+    for trial in range(6000):
+        if trial < 4000:
+            n = int(rng.integers(1, 25))
+            cs = rng.integers(0, 5, size=n).astype(float)
+            cl = rng.integers(0, 9, size=n) / 8.0 if trial % 2 else rng.integers(0, 5, size=n) / 4.0
+            s = float(rng.integers(0, 5))
+            alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5, 0.6]))
+        else:
+            n = int(rng.integers(1, 40))
+            cs, cl = rng.integers(0, 11, size=n) / 10, rng.integers(0, 11, size=n) / 10
+            s = float(rng.integers(0, 11) / 10)
+            alpha = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5]))
+        if trial % 3 or trial >= 4000:
             calib, test, decide = list(zip(cs, cl)), s, mdr_decide
         else:
             w = rng.integers(1, 5, size=n + 1) / 2
@@ -427,7 +435,7 @@ def test_decision_and_evalue_agree_at_gamma_alpha():
         d = decide(calib, test, Levels(alpha))
         assert d.deploy == (d.evalue_lower_bound >= 1 / alpha), (calib, test, alpha)
         deployed += d.deploy
-    assert deployed >= 1200, deployed
+    assert deployed >= 2000, deployed
 
 
 def test_single_point_forms_give_the_same_bits():

@@ -274,6 +274,10 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
         compared.append(args)
         return want
 
+    def gap(batch, t0, t1):
+        vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
+        return vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
+
     monkeypatch.setattr(sdr_module, "_keyed_positions", both)
     monkeypatch.setattr(sdr_module, "_pointwise_positions", both)
     rng = np.random.default_rng(44)
@@ -296,12 +300,24 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
         if batch.m == 1 and batch.n >= 100:
-            vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
-            gap = vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
+            d = gap(batch, t0, t1)
             for far in (False, True):
-                lone[far] += int(np.count_nonzero((ev > 0.0) & (gap > 0) & ((gap >= 64) == far)))
+                lone[far] += int(np.count_nonzero((ev > 0.0) & (d > 0) & ((d >= 64) == far)))
     assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
     assert weights == "unit" or min(lone) >= 20, lone
+    # Unit weights put t(1) beyond the block a batch at a time, since the
+    # covered points share the ratios behind t(0): 3 batches of 40 at these
+    # sizes hold such points, and 2 of the 5 at this seed, so the keyed
+    # locator's slice scan runs on unit weights too.
+    rng = np.random.default_rng(49)
+    beyond = 0                                   # positive unit e-values: t(1) beyond the block
+    for _ in range(5 * (weights == "unit")):
+        s = rng.uniform(size=2200)
+        batch = validate_batch(list(zip(s[:2000], rng.uniform(0.0, 0.4, size=2000))), list(s[2000:]))
+        ev, t0, t1 = _sdr_kernel_grid(batch, (0.2,))
+        beyond += int(np.count_nonzero((ev > 0.0) & (gap(batch, t0, t1) >= 64)))
+    assert len(compared) == checked + 5 * (weights == "unit")
+    assert weights == "non-unit" or beyond >= 100, beyond
 
 
 def _window_length(batch, evalues, t0, t1):
@@ -415,7 +431,7 @@ def test_kernel_grid_rejects_a_bad_level_before_any_work(monkeypatch, bad):
     def no_work(batch):
         raise AssertionError("the pooled prefix was built before the levels were checked")
 
-    monkeypatch.setattr(sdr_module, "_pooled_prefix", no_work)
+    monkeypatch.setattr(sdr_module, "_descending_prefix", no_work)
     batch = validate_batch([(0.1, 0.0), (0.2, 0.5)], [0.05, 0.3])
     for gammas in ((bad,), (0.1, 0.3, bad), (bad, 0.2)):
         with pytest.raises(ValueError, match=f"gamma must be positive, got {bad!r}"):
@@ -427,11 +443,9 @@ def test_kernel_grid_rejects_a_bad_level_before_any_work(monkeypatch, bad):
      "sdr_evalues is the unweighted path; use weighted_sdr_evalues for non-unit weights"),
     (lambda c, t: sdr_evalues_oracle(c, t, gamma=0.3),
      "sdr_evalues_oracle is the unweighted path; use weighted_sdr_evalues_oracle for non-unit weights"),
-    (lambda c, t: sdr_evalues_at(c, t, gamma=0.3, ell=1.0),
-     "sdr_evalues_at takes unit weights only; its construction has no weighted variant"),
     (lambda c, t: sdr_evalues_conservative(c, t, alpha=0.3),
      "sdr_evalues_conservative takes unit weights only; its construction has no weighted variant"),
-], ids=["sdr_evalues", "sdr_evalues_oracle", "sdr_evalues_at", "sdr_evalues_conservative"])
+], ids=["sdr_evalues", "sdr_evalues_oracle", "sdr_evalues_conservative"])
 def test_unit_weight_paths_name_the_weighted_variant_only_where_it_exists(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call([(0.1, 0.0, 2.0), (0.2, 0.0, 1.0)], [(0.05, 1.0)])
@@ -521,7 +535,9 @@ def test_conservative_zero_when_score_above_threshold():
 
 def test_conservative_equals_dense_reference():
     # 0.1-grid tied scores and quarter risks keep every sum exact, so the
-    # sorted-prefix path must reproduce the dense per-point scan bit for bit
+    # sorted-prefix path must reproduce the dense per-point scan bit for bit;
+    # t_hat is the kernel's t(1) at gamma = alpha, which the oracle restricted
+    # to ell = 1 finds without the locator
     rng = np.random.default_rng(31)
     nonzero = 0
     for alpha in (0.1, 0.2, 0.25, 0.3, 0.5):
@@ -530,7 +546,8 @@ def test_conservative_equals_dense_reference():
             calib = list(zip(rng.integers(0, 11, size=n) / 10, rng.integers(0, 5, size=n) / 4))
             tests = list(rng.integers(0, 11, size=m) / 10)
             res = sdr_evalues_conservative(calib, tests, alpha=alpha)
-            ev, t_tilde, t_hat = dense_sdr_evalues_conservative(calib, tests, alpha)
+            ev, t_tilde = dense_sdr_evalues_conservative(calib, tests, alpha)
+            t_hat = sdr_evalues_oracle(calib, tests, alpha, ell_set=(1.0,)).thresholds_at_1
             assert np.array_equal(res.evalues, ev)
             assert np.array_equal(res.thresholds_at_0, t_tilde, equal_nan=True)
             assert np.array_equal(res.thresholds_at_1, t_hat, equal_nan=True)
@@ -587,12 +604,14 @@ def test_binary_attainable_set_matches_fixed_ell():
 
 @pytest.mark.parametrize("ell", [0.0, 0.25, 0.5, 1.0])
 def test_fixed_ell_equals_oracle_restricted_to_that_ell(ell):
-    # 0.1-grid tied scores and quarter risks keep every sum exact, so the
-    # prefix path must give the oracle's bits; on continuous data the two may
-    # differ only in summation order
+    # 0.1-grid tied scores, quarter risks and quarter weights keep every sum
+    # exact, so the prefix path must give the oracle's bits; on continuous
+    # data the two may differ only in summation order.  The last 300
+    # instances carry weights: the ell term is weighted by w_j, and the
+    # reference is the weighted oracle restricted to that ell.
     rng = np.random.default_rng(34)
-    nonzero = 0
-    for k in range(600):
+    nonzero = [0, 0]
+    for k in range(900):
         n, m = int(rng.integers(1, 31)), int(rng.integers(1, 13))
         if k % 2:
             calib = list(zip(rng.normal(size=n), rng.uniform(size=n)))
@@ -600,20 +619,20 @@ def test_fixed_ell_equals_oracle_restricted_to_that_ell(ell):
         else:
             calib = list(zip(rng.integers(0, 11, size=n) / 10, rng.integers(0, 5, size=n) / 4))
             tests = list(rng.integers(0, 11, size=m) / 10)
+        weighted = k >= 600
+        if weighted:
+            calib = [(*c, w) for c, w in zip(calib, rng.integers(1, 17, size=n) / 4)]
+            tests = list(zip(tests, rng.integers(1, 17, size=m) / 4))
+        oracle = weighted_sdr_evalues_oracle if weighted else sdr_evalues_oracle
         gamma = KERNEL_GAMMAS[k % 12] if k % 5 else float(rng.uniform(0.05, 1.5))
         got = sdr_evalues_at(calib, tests, gamma, ell=ell)
-        want = sdr_evalues_oracle(calib, tests, gamma, ell_set=(ell,)).evalues
+        want = oracle(calib, tests, gamma, ell_set=(ell,)).evalues
         if k % 2:
             assert np.array_equal(got == 0.0, want == 0.0) and _agree(got, want), (calib, tests, gamma)
         else:
             assert np.array_equal(got, want), (calib, tests, gamma)
-        nonzero += bool(np.any(got > 0.0))
-    assert nonzero >= 200
-
-
-def test_fixed_ell_rejects_weights():
-    with pytest.raises(ValueError, match="sdr_evalues_at"):
-        sdr_evalues_at([(0.1, 0.0, 2.0), (0.2, 0.0, 1.0)], [(0.05, 1.0)], gamma=0.3, ell=1.0)
+        nonzero[weighted] += bool(np.any(got > 0.0))
+    assert min(nonzero) >= 100, nonzero
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
