@@ -23,8 +23,10 @@ every calibration term weighted by ``w_i``, ``n + 1`` replaced by
 ``w_j + sum_i w_i``, and the ``ell`` term weighted by ``w_j``.
 
 Every reader takes its thresholds from one locator over the score-sorted
-pooled prefix, in ``O(n+m)`` memory and ``O((n+m) log(n+m))`` time per
-level: :func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the
+pooled prefix, in ``O(n+m)`` memory and, where the test weights are equal,
+``O((n+m) log(n+m))`` time per level; where they differ, a point whose
+``t_j(1)`` lies far below ``t_j(0)`` adds a scan of up to ``O(n+m)``:
+:func:`sdr_evalues` / :func:`weighted_sdr_evalues` compute the
 infimum exactly; :func:`sdr_evalues_at` evaluates the objective at one fixed
 ``ell``, weighted or not, and :func:`sdr_evalues_conservative` (simpler,
 slightly conservative, unit weights) avoids the infimum, both from the
@@ -128,8 +130,9 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     none.  Both locators compare exactly these ratios with the level's bound
     ``gamma + _BOUNDARY_TOL``, so they give the same positions, and a grid
     gives the bits of one call per level.  Non-unit weights take
-    :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level, plus a slice
-    for each point whose ``t(1)`` lies more than 64 positions below ``t(0)``.
+    :func:`_keyed_positions`: ``O((n+m) log(n+m))`` per level, plus, where
+    the test weights differ, a slice for each point whose ``t(1)`` lies more
+    than 64 positions below ``t(0)``.
     Unit weights take :func:`_pointwise_positions`, ``O(n+m)`` per point and
     level, which the keyed locator's tests also take as their reference.
 
@@ -296,12 +299,15 @@ def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
 
     * ``t(0)``'s position is one ``searchsorted`` of ``R`` on the running
       minimum of ``r``, kept when it lies below ``K_j``;
-    * where ``ell = 1`` is feasible there too, ``t(1) = t(0)``, for all such
-      points at once;
-    * every other covered point seeks ``t(1)`` in ``[t(0), K_j)``: the first
-      64 positions of all of them, a lone point too, as one block, then the
-      rest of the slice only for the points whose block holds none
-      (:func:`_first_feasible_at_one`);
+    * where every ``w_j`` and ``f_j`` is equal, as with unit weights or a
+      lone point, all points share one ``ell = 1`` mask, so ``t(1)`` is its
+      first feasible position at or after ``t(0)``, kept when it lies below
+      ``K_j``: one ``nonzero`` and one ``searchsorted``;
+    * otherwise, where ``ell = 1`` is feasible at ``t(0)`` too, ``t(1) =
+      t(0)``, for all such points at once, and every other covered point
+      seeks ``t(1)`` in ``[t(0), K_j)``: the first 64 positions of all of
+      them as one block, then the rest of the slice only for the points
+      whose block holds none (:func:`_first_feasible_at_one`);
     * a point with no feasible covered threshold at ``ell = 0`` or ``1``
       takes the first position from ``K_j`` on with ``q <= R_j``
       (:func:`_first_at_most`), where both ratios agree.
@@ -314,18 +320,25 @@ def _keyed_positions(bounds: tuple, A, ntest, w, factor, K):
     kmax = K.max(initial=0)                      # positions no point covers are left out
     neg_min_r = -np.minimum.accumulate(A[:kmax] / ntest[:kmax])   # nondecreasing
     per_block = max(1, A.size // _BLOCK.size)    # points per block: about A.size positions
+    shared = K.size > 0 and bool(np.all(w == w[0]) and np.all(factor == factor[0]))
     for g, bound in enumerate(bounds):
         R = _ratio_bounds(bound, factor)
         a = neg_min_r.searchsorted(-R)           # the first r <= R
         hit = a < K
         b = np.minimum(a, K - 1)                 # a where hit, a covered stand-in elsewhere
         late = ~hit                              # t(1) lies below s_j
-        scan = (hit & ~((A[b] + w) / ntest[b] * factor <= bound)).nonzero()[0]
-        for c in range(0, scan.size, per_block):
-            part = scan[c:c + per_block]
-            b[part], found = _first_feasible_at_one(bound, A, ntest, w[part], factor[part],
-                                                    b[part], K[part])
-            late[part] = ~found
+        if shared:                               # one ell = 1 mask serves every point
+            ones = ((A[:kmax] + w[0]) / ntest[:kmax] * factor[0] <= bound).nonzero()[0]
+            first = np.append(ones, kmax)[ones.searchsorted(b)]
+            late |= first >= K
+            b = np.where(late, b, first)
+        else:
+            scan = (hit & ~((A[b] + w) / ntest[b] * factor <= bound)).nonzero()[0]
+            for c in range(0, scan.size, per_block):
+                part = scan[c:c + per_block]
+                b[part], found = _first_feasible_at_one(bound, A, ntest, w[part], factor[part],
+                                                        b[part], K[part])
+                late[part] = ~found
         late = late.nonzero()[0]
         if late.size:
             b[late] = _first_at_most(A / (1.0 + ntest), K[late], R[late])

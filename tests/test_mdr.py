@@ -410,9 +410,10 @@ def test_decide_matches_deploy_mask_on_tied_dyadic_instances():
 def test_decision_and_evalue_agree_at_gamma_alpha():
     # A point deploys only where its e-value reaches 1 / alpha, so each
     # single-point decision deploys exactly when its e-value does, unguarded.
-    # On tied, dyadic instances the statistic alone agrees with that; on
-    # tenths the risk sums round, and the statistic can pass gamma + 1e-12
-    # while the e-value sits an ulp below 1 / alpha.
+    # On tied, dyadic instances the statistic alone agrees with that, so the
+    # e-value test removes no deploy there; on tenths the risk sums round,
+    # and the statistic can pass gamma + 1e-12 while the e-value sits an ulp
+    # below 1 / alpha.
     rng = np.random.default_rng(49)
     deployed = 0
     for trial in range(6000):
@@ -434,6 +435,8 @@ def test_decision_and_evalue_agree_at_gamma_alpha():
             calib, test, decide = list(zip(cs, cl, w[:n])), (s, float(w[n])), weighted_mdr_decide
         d = decide(calib, test, Levels(alpha))
         assert d.deploy == (d.evalue_lower_bound >= 1 / alpha), (calib, test, alpha)
+        if trial < 4000:
+            assert d.deploy == (d.empirical_stat <= alpha + _BOUNDARY_TOL), (calib, test, alpha)
         deployed += d.deploy
     assert deployed >= 2000, deployed
 

@@ -263,7 +263,12 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
     # locator is loop-free.  Every grid also holds the subnormal level
     # 5e-324, whose bound is 1e-12.  Weighted runs add lone test points
     # beside a few hundred calibration points; a heavy one puts t(1) beyond
-    # the first 64 positions below t(0), past the ell = 1 search's block.
+    # the first 64 positions below t(0).  The last five instances are
+    # 2000 x 200 batches whose mean risk puts FR(t; 0) near gamma at every t,
+    # so t(1) lies beyond those 64 positions for many points at a time: with
+    # equal test weights every point reads the one shared ell = 1 mask, and
+    # with weights on [1/4, 4] the points whose block holds no feasible
+    # position scan the rest of their slice.
     keyed, loop = sdr_module._keyed_positions, sdr_module._pointwise_positions
     compared = []
 
@@ -274,17 +279,17 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
         compared.append(args)
         return want
 
-    def gap(batch, t0, t1):
-        vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
-        return vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
-
     monkeypatch.setattr(sdr_module, "_keyed_positions", both)
     monkeypatch.setattr(sdr_module, "_pointwise_positions", both)
-    rng = np.random.default_rng(44)
-    checked = windowed = 0
+    rng, crowded = np.random.default_rng(44), np.random.default_rng(49)
+    checked = windowed = beyond = 0
     lone = [0, 0]                                # windowed lone points: t(1) inside, beyond the block
-    for k in range(1600):
-        if weights == "non-unit" and k % 8 == 7:
+    for k in range(1605):
+        if k >= 1600:
+            s, risks = crowded.uniform(size=2200), crowded.uniform(0.0, 0.4, size=2000)
+            wt = np.ones(200) if weights == "unit" else crowded.uniform(0.25, 4.0, size=200)
+            batch = ValidatedBatch(s[:2000], risks, np.ones(2000), s[2000:], wt)
+        elif weights == "non-unit" and k % 8 == 7:
             b = _informative_batch(rng, int(rng.integers(100, 400)), 1, tied=k % 16 == 7, weighted=True)
             batch = ValidatedBatch(b.calib_scores, b.calib_risks, b.calib_weights, b.test_scores,
                                    b.test_weights * (1.0, 100.0)[k // 8 % 2])
@@ -295,29 +300,21 @@ def test_keyed_kernel_equals_the_pointwise_loop(weights, monkeypatch):
             batch = validate_batch(calib, tests)
         if batch.has_unit_weights != (weights == "unit"):
             continue
-        gammas = (*rng.choice(KERNEL_GAMMAS, size=3), *rng.uniform(0.05, 1.5, size=2), 5e-324)
+        gammas = (0.2,) if k >= 1600 else (*rng.choice(KERNEL_GAMMAS, size=3),
+                                           *rng.uniform(0.05, 1.5, size=2), 5e-324)
         ev, t0, t1 = _sdr_kernel_grid(batch, gammas)
         checked += 1
         windowed += bool(np.any((ev > 0.0) & (t0 != t1)))
-        if batch.m == 1 and batch.n >= 100:
-            d = gap(batch, t0, t1)
-            for far in (False, True):
-                lone[far] += int(np.count_nonzero((ev > 0.0) & (d > 0) & ((d >= 64) == far)))
+        if k >= 1600 or (batch.m == 1 and batch.n >= 100):
+            vals = np.sort(np.concatenate((batch.calib_scores, batch.test_scores)))
+            gap = vals.searchsorted(t0, side="right") - vals.searchsorted(t1, side="right")
+            if k >= 1600:
+                beyond += int(np.count_nonzero((ev > 0.0) & (gap >= 64)))
+            else:
+                for far in (False, True):
+                    lone[far] += int(np.count_nonzero((ev > 0.0) & (gap > 0) & ((gap >= 64) == far)))
     assert len(compared) == checked >= 1000 and windowed >= 300, (checked, windowed)
-    assert weights == "unit" or min(lone) >= 20, lone
-    # Unit weights put t(1) beyond the block a batch at a time, since the
-    # covered points share the ratios behind t(0): 3 batches of 40 at these
-    # sizes hold such points, and 2 of the 5 at this seed, so the keyed
-    # locator's slice scan runs on unit weights too.
-    rng = np.random.default_rng(49)
-    beyond = 0                                   # positive unit e-values: t(1) beyond the block
-    for _ in range(5 * (weights == "unit")):
-        s = rng.uniform(size=2200)
-        batch = validate_batch(list(zip(s[:2000], rng.uniform(0.0, 0.4, size=2000))), list(s[2000:]))
-        ev, t0, t1 = _sdr_kernel_grid(batch, (0.2,))
-        beyond += int(np.count_nonzero((ev > 0.0) & (gap(batch, t0, t1) >= 64)))
-    assert len(compared) == checked + 5 * (weights == "unit")
-    assert weights == "non-unit" or beyond >= 100, beyond
+    assert beyond >= 100 and (weights == "unit" or min(lone) >= 20), (beyond, lone)
 
 
 def _window_length(batch, evalues, t0, t1):
@@ -632,7 +629,7 @@ def test_fixed_ell_equals_oracle_restricted_to_that_ell(ell):
         else:
             assert np.array_equal(got, want), (calib, tests, gamma)
         nonzero[weighted] += bool(np.any(got > 0.0))
-    assert min(nonzero) >= 100, nonzero
+    assert nonzero[0] >= 200 and nonzero[1] >= 100, nonzero
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
@@ -702,3 +699,30 @@ def test_kernel_runtime_scaling():
         t_small = min(t_small, timed(*small))
         t_big = min(t_big, timed(*big))
     assert t_big <= 2.5 * t_small, (t_small, t_big)
+
+
+def test_one_level_readers_scan_no_slice_per_point_at_unit_weights():
+    # Calibration risk uniform on [0, 0.4] puts FR(t; 0) near gamma = 0.2
+    # at every t, so nearly every point's t(1) lies hundreds of positions
+    # below its t(0).  A per-point scan of those positions takes about 50
+    # times as long as a batch of the same size with risk uniform on [0, 1];
+    # the one shared ell = 1 mask of equal test weights takes about as long.
+    def instance(high):
+        rng = np.random.default_rng(48)
+        s = rng.uniform(size=40_000)
+        return ValidatedBatch(s[:20_000], rng.uniform(0.0, high, size=20_000), np.ones(20_000),
+                              s[20_000:], np.ones(20_000))
+
+    crowded, typical = instance(0.4), instance(1.0)
+    for read in (lambda b: sdr_evalues_conservative(b, None, alpha=0.2),
+                 lambda b: sdr_evalues_at(b, None, gamma=0.2, ell=1.0)):
+        # The batches alternate within each round, so a burst of load hits both alike.
+        t_crowded = t_typical = np.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            read(crowded)
+            t_crowded = min(t_crowded, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            read(typical)
+            t_typical = min(t_typical, time.perf_counter() - t0)
+        assert t_crowded <= 4 * t_typical, (t_crowded, t_typical)
