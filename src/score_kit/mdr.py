@@ -34,7 +34,8 @@ its one entry, so batch and single-point decisions agree bit for bit.
 An e-value is the selective-risk kernel on the point alone with the
 calibration data, which the same rule reads from the same prefix for a
 whole batch; :func:`mdr_evalue_oracle` / :func:`weighted_mdr_evalue_oracle`
-transcribe the defining infimum by brute force for verification.
+are the brute-force SDR oracle on the point alone (at ``m = 1``, ``FR_j``
+is ``F``), which shares no code with the rule and exists to verify it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Levels, ValidatedBatch, _check_gamma, _sorted_prefix, validate_batch
-from .sdr import _BOUNDARY_TOL, _oracle_ell_candidates, _ratio_bounds, _read_at_t0, _require_unit_weights
+from .sdr import _BOUNDARY_TOL, _ratio_bounds, _read_at_t0, _require_unit_weights, weighted_sdr_evalues_oracle
 
 __all__ = [
     "MdrDecision",
@@ -159,53 +160,26 @@ def weighted_mdr_evalue(calib, test, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles: direct transcription of the defining infimum, used to
-# verify the shortcut decision and the kernel.
+# Brute-force oracles: the SDR oracle on the point alone, used to verify the
+# shortcut decision and the e-value.
 # ---------------------------------------------------------------------------
 
 def mdr_evalue_oracle(calib, test_score: float, gamma: float,
                       ell_grid_size: int = 1001, ell_set=None) -> float:
-    """Brute-force MDR e-value: minimize the defining objective over a
-    uniform candidate-risk grid augmented with the closed-form breakpoints of
-    the threshold map.  ``ell_set`` restricts the infimum to an explicit
-    finite set of attainable risk values instead."""
+    """Brute-force MDR e-value: the SDR oracle's for this point alone, the
+    defining objective minimized over a uniform candidate-risk grid and the
+    threshold map's breakpoints.  ``ell_set``, of values in [0, 1], restricts
+    the infimum to exactly those risk values instead."""
     batch = _single_point_batch(calib, test_score)
     _require_unit_weights(batch, "mdr_evalue_oracle", "weighted_mdr_evalue_oracle")
-    return _weighted_mdr_oracle(batch, gamma, ell_grid_size, ell_set)
+    return float(weighted_sdr_evalues_oracle(batch, None, gamma, ell_grid_size, ell_set).evalues[0])
 
 
 def weighted_mdr_evalue_oracle(calib, test, gamma: float,
                                ell_grid_size: int = 1001, ell_set=None) -> float:
     """Weighted analogue of :func:`mdr_evalue_oracle`."""
     batch = _single_point_batch(calib, test)
-    return _weighted_mdr_oracle(batch, gamma, ell_grid_size, ell_set)
-
-
-def _weighted_mdr_oracle(batch: ValidatedBatch, gamma: float,
-                         ell_grid_size: int, ell_set) -> float:
-    _check_gamma(gamma)
-    s_test = batch.test_scores[0]
-    w_test = batch.test_weights[0]
-    total_w = w_test + float(np.sum(batch.calib_weights))
-    thresholds = np.unique(np.concatenate([batch.calib_scores, [s_test]]))
-    calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
-    wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
-    covers = (s_test <= thresholds).astype(float)
-
-    best = np.inf
-    with np.errstate(over="ignore"):             # an overflowing breakpoint or e-value reads inf
-        breakpoints = (gamma * total_w - wl_sum) / w_test
-        for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
-            f = (wl_sum + w_test * ell * covers) / total_w
-            feasible = np.flatnonzero(f <= gamma + _BOUNDARY_TOL)
-            if feasible.size == 0:
-                return 0.0
-            t = thresholds[feasible[-1]]
-            if s_test > t:
-                return 0.0
-            denom = wl_sum[feasible[-1]] + w_test * ell
-            best = min(best, total_w / denom if denom > 0.0 else np.inf)
-    return float(best)
+    return float(weighted_sdr_evalues_oracle(batch, None, gamma, ell_grid_size, ell_set).evalues[0])
 
 
 # ---------------------------------------------------------------------------

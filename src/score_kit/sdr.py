@@ -33,7 +33,7 @@ slightly conservative, unit weights) avoids the infimum, both from the
 locator's ``t_j(1)`` at their one level.  The brute-force oracles
 :func:`sdr_evalues_oracle` / :func:`weighted_sdr_evalues_oracle` are
 deliberately separate; they build threshold-by-n comparison matrices and
-are meant for small instances.
+are meant for small instances.  The MDR oracles are these on a point alone.
 
 The exact kernel, ``_sdr_kernel_grid``, takes a grid of levels and returns
 the e-values, ``t_j(0)`` and ``t_j(1)`` with shape ``(levels, m)``, ``nan``
@@ -68,6 +68,11 @@ __all__ = [
 # gamma when it is at most gamma + _BOUNDARY_TOL.  The infimum is attained at
 # breakpoints where the estimate equals gamma in real arithmetic, and the
 # tolerance keeps them feasible when rounding lifts the estimate above gamma.
+# It decides feasibility only, never a value: the infimum over ell in [0, 1]
+# reads a threshold where its ratio reaches gamma, that is m / (gamma * nt)
+# clipped to [total_w / (A + w_j), total_w / A], the term _read_at_t0 uses.
+# The grid oracles read each candidate ell's threshold the same way, so an
+# ell whose ratio lies in (gamma, gamma + tol] lowers no e-value.
 _BOUNDARY_TOL = 1e-12
 
 
@@ -386,7 +391,8 @@ def weighted_sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
 # Brute-force oracles.  These transcribe the defining infimum directly:
 # for every candidate ell, scan all pooled thresholds for the largest
 # feasible one and evaluate the objective.  They share no code with the
-# kernel above and exist to verify it.
+# kernel above and exist to verify it; the MDR oracles are these on a
+# point alone.
 # ---------------------------------------------------------------------------
 
 
@@ -395,6 +401,9 @@ def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> 
         ells = np.asarray(sorted(set(float(x) for x in ell_set)), dtype=float)
         if ells.size == 0:
             raise ValueError("ell_set must be non-empty")
+        bad = [ell for ell in ells.tolist() if not 0.0 <= ell <= 1.0]
+        if bad:
+            raise ValueError(f"ell must lie in [0, 1], got {bad[0]!r}")
         return ells
     if grid_size < 2:
         raise ValueError(f"ell_grid_size must be >= 2, got {grid_size!r}")
@@ -414,26 +423,30 @@ def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
     thresholds = np.unique(np.concatenate([batch.calib_scores, batch.test_scores]))
     calib_below = batch.calib_scores[None, :] <= thresholds[:, None]
     wl_sum = calib_below @ (batch.calib_weights * batch.calib_risks)
-    n_other = np.sum(np.delete(batch.test_scores, j)[None, :] <= thresholds[:, None], axis=1)
+    # 1 + #{other test scores <= t}
+    nt = 1.0 + np.sum(np.delete(batch.test_scores, j)[None, :] <= thresholds[:, None], axis=1)
     covers = (sj <= thresholds).astype(float)
     total_w = wj + float(np.sum(batch.calib_weights))
 
     def last_feasible(ell) -> int:
-        fr = (wj * ell * covers + wl_sum) / (1.0 + n_other) * (m / total_w)
-        feasible = np.flatnonzero(fr <= gamma + _BOUNDARY_TOL)
+        fr = (wj * ell * covers + wl_sum) / nt * (m / total_w)
+        feasible = (fr <= gamma + _BOUNDARY_TOL).nonzero()[0]
         return int(feasible[-1]) if feasible.size else -1
 
     t0, t1 = (float(thresholds[i]) if i >= 0 else np.nan
               for i in (last_feasible(0.0), last_feasible(1.0)))
     best = np.inf
-    with np.errstate(over="ignore"):             # an overflowing breakpoint or e-value reads inf
-        breakpoints = (gamma * total_w * (1.0 + n_other) / m - wl_sum) / wj
+    with np.errstate(over="ignore", divide="ignore"):   # an overflow, or total_w / 0, reads inf
+        breakpoints = (gamma * total_w * nt / m - wl_sum) / wj
+        # Without ell_set no candidate reads below its threshold's value where
+        # the ratio reaches gamma (see _BOUNDARY_TOL); with it, each reads its
+        # own objective.
+        floor = np.minimum(total_w / wl_sum, m / (gamma * nt)) if ell_set is None else np.zeros_like(nt)
         for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
             i = last_feasible(ell)
             if i < 0 or sj > thresholds[i]:
                 return 0.0, t0, t1
-            denom = wj * ell + wl_sum[i]
-            best = min(best, total_w / denom if denom > 0.0 else np.inf)
+            best = min(best, max(total_w / (wj * ell + wl_sum[i]), floor[i]))
     return float(best), t0, t1
 
 
@@ -442,11 +455,13 @@ def sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int = 1001,
     """Brute-force SDR e-values: per test point, minimize the defining
     objective over a uniform candidate-risk grid augmented with the
     closed-form breakpoints of the threshold map (so the infimum over the
-    whole interval is attained exactly).
+    whole interval is attained exactly), each candidate read no lower than
+    where its threshold's ratio reaches ``gamma``, as the kernel reads.
 
     ``ell_set`` restricts the infimum to an explicit finite set of attainable
-    risk values instead (e.g. ``{0, 1}`` for binary risks), in which case the
-    grid is not used.
+    risk values in [0, 1] instead (e.g. ``{0, 1}`` for binary risks), in
+    which case the grid is not used and the objective is read at exactly
+    those values, as :func:`sdr_evalues_at` reads it.
     """
     batch = validate_batch(calib, tests)
     _require_unit_weights(batch, "sdr_evalues_oracle", "weighted_sdr_evalues_oracle")

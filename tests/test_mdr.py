@@ -411,9 +411,11 @@ def test_decision_and_evalue_agree_at_gamma_alpha():
     # A point deploys only where its e-value reaches 1 / alpha, so each
     # single-point decision deploys exactly when its e-value does, unguarded.
     # On tied, dyadic instances the statistic alone agrees with that, so the
-    # e-value test removes no deploy there; on tenths the risk sums round,
-    # and the statistic can pass gamma + 1e-12 while the e-value sits an ulp
-    # below 1 / alpha.
+    # e-value test removes no deploy there, and the oracle's e-value reaches
+    # 1 / alpha, unguarded, exactly where the point deploys: it reads each
+    # threshold where its ratio reaches gamma, as the kernel does.  On tenths
+    # the risk sums round, and the statistic can pass gamma + 1e-12 while the
+    # e-value sits an ulp below 1 / alpha.
     rng = np.random.default_rng(49)
     deployed = 0
     for trial in range(6000):
@@ -429,14 +431,17 @@ def test_decision_and_evalue_agree_at_gamma_alpha():
             s = float(rng.integers(0, 11) / 10)
             alpha = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5]))
         if trial % 3 or trial >= 4000:
-            calib, test, decide = list(zip(cs, cl)), s, mdr_decide
+            calib, test, decide, oracle = list(zip(cs, cl)), s, mdr_decide, mdr_evalue_oracle
         else:
             w = rng.integers(1, 5, size=n + 1) / 2
-            calib, test, decide = list(zip(cs, cl, w[:n])), (s, float(w[n])), weighted_mdr_decide
+            calib, test = list(zip(cs, cl, w[:n])), (s, float(w[n]))
+            decide, oracle = weighted_mdr_decide, weighted_mdr_evalue_oracle
         d = decide(calib, test, Levels(alpha))
         assert d.deploy == (d.evalue_lower_bound >= 1 / alpha), (calib, test, alpha)
         if trial < 4000:
             assert d.deploy == (d.empirical_stat <= alpha + _BOUNDARY_TOL), (calib, test, alpha)
+            e = oracle(calib, test, alpha, ell_grid_size=101)
+            assert d.deploy == (e >= 1 / alpha), (calib, test, alpha, e)
         deployed += d.deploy
     assert deployed >= 2000, deployed
 

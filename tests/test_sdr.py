@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, sdr_evalues, sdr_evalues_at,
+from score_kit import (SdrEvalueSet, ValidatedBatch, ebh, mdr_evalue_oracle, sdr_evalues, sdr_evalues_at,
                        sdr_evalues_conservative, sdr_evalues_oracle, validate_batch,
                        weighted_mdr_evalue, weighted_mdr_evalue_oracle, weighted_sdr_evalues,
                        weighted_sdr_evalues_oracle)
@@ -115,6 +115,22 @@ def test_weighted_kernel_matches_weighted_oracle_random():
         fast = weighted_sdr_evalues(calib, tests, gamma).evalues
         slow = weighted_sdr_evalues_oracle(calib, tests, gamma, ell_grid_size=101).evalues
         assert _agree(fast, slow), (calib, tests, gamma, fast, slow)
+    # Tied scores, quarter risks and half-integer weights at gamma = alpha,
+    # where e-values sit on eBH's cutoffs: the oracle reads each threshold
+    # where its ratio reaches gamma, as the kernel does, so unguarded eBH
+    # selects the kernel's set.
+    rng = np.random.default_rng(23)
+    for trial in range(600):
+        n, m = int(rng.integers(5, 31)), int(rng.integers(1, 9))
+        cs, ts = rng.integers(0, 6, size=n).astype(float), rng.integers(0, 6, size=m).astype(float)
+        risks = rng.integers(0, 5, size=n) / 4
+        wc, wt = rng.integers(1, 5, size=n) / 2, rng.integers(1, 5, size=m) / 2
+        alpha = float(rng.choice([0.1, 0.2, 0.25, 0.3, 0.5]))
+        calib, tests = list(zip(cs, risks, wc)), list(zip(ts, wt))
+        fast = weighted_sdr_evalues(calib, tests, alpha).evalues
+        slow = weighted_sdr_evalues_oracle(calib, tests, alpha, ell_grid_size=101).evalues
+        assert _agree(fast, slow), (calib, tests, alpha, fast, slow)
+        assert ebh(slow, alpha).selected == ebh(fast, alpha).selected, (calib, tests, alpha)
 
 
 KERNEL_GAMMAS = (0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 0.7, 0.75, 1.0, 2.0)
@@ -165,7 +181,8 @@ def test_ebh_selection_equals_exact_arithmetic_at_gamma_alpha():
     # At gamma = alpha an e-value often equals eBH's cutoff m / (alpha * tau)
     # in real arithmetic.  The kernel writes that term in the cutoff's own
     # expression, so the float selection is the exact one; small instances,
-    # half tied, with dyadic risks.
+    # half tied, with dyadic risks.  The oracle reads the same term, so its
+    # selection is the exact one too.
     rng = np.random.default_rng(1)
     at_cutoff = 0
     for k in range(600):
@@ -182,6 +199,8 @@ def test_ebh_selection_equals_exact_arithmetic_at_gamma_alpha():
         got = sdr_evalues(calib, tests, alpha).evalues
         assert _agree(got, [float(e) for e in exact]), (calib, tests, alpha)
         assert ebh(got, alpha).selected == exact_ebh(exact, alpha), (calib, tests, alpha)
+        oracle = sdr_evalues_oracle(calib, tests, alpha, ell_grid_size=101).evalues
+        assert ebh(oracle, alpha).selected == exact_ebh(exact, alpha), (calib, tests, alpha)
         cutoffs = {m / (Fraction(repr(alpha)) * tau) for tau in range(1, m + 1)}
         at_cutoff += any(e in cutoffs for e in exact)
     assert at_cutoff >= 100, at_cutoff
@@ -636,6 +655,22 @@ def test_fixed_ell_equals_oracle_restricted_to_that_ell(ell):
 def test_fixed_ell_rejects_non_positive_gamma(gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
         sdr_evalues_at([(0.1, 0.0), (0.2, 0.0)], [0.05], gamma=gamma, ell=0.0)
+
+
+ELL_CALIB = [(0.1, 0.0), (0.4, 0.1), (0.7, 0.2)]
+
+
+@pytest.mark.parametrize("ell", [2.0, -1.0, float("nan")])
+@pytest.mark.parametrize("call", [
+    lambda ell: sdr_evalues_at(ELL_CALIB, [0.2], 0.5, ell=ell),
+    lambda ell: sdr_evalues_oracle(ELL_CALIB, [0.2, 0.5], 0.5, ell_set=(0.5, ell)),
+    lambda ell: weighted_sdr_evalues_oracle(ELL_CALIB, [(0.2, 2.0)], 0.5, ell_set=(ell,)),
+    lambda ell: mdr_evalue_oracle(ELL_CALIB, 0.2, 0.5, ell_set=(ell,)),
+    lambda ell: weighted_mdr_evalue_oracle(ELL_CALIB, (0.2, 2.0), 0.5, ell_set=(0.5, ell)),
+], ids=["fixed-ell", "oracle", "weighted-oracle", "mdr-oracle", "weighted-mdr-oracle"])
+def test_an_ell_outside_the_unit_interval_is_a_named_error(call, ell):
+    with pytest.raises(ValueError, match=re.escape(f"ell must lie in [0, 1], got {ell!r}")):
+        call(ell)
 
 
 @pytest.mark.parametrize("ell", [0.0, 1.0])
