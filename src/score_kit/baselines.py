@@ -4,14 +4,16 @@ These pick a score threshold so that a uniform high-probability upper bound
 on the empirical risk curve stays below the target level.  The Hoeffding
 variant bounds the curve on a fixed grid; the Rademacher variant bounds it
 uniformly over all thresholds via the empirical Rademacher complexity of the
-indicator class, estimated from injected sign draws.  Both give
-high-probability (not exact) control and serve as power comparators.
+indicator class, estimated from signs drawn from the caller's generator.
+Both give high-probability (not exact) control and serve as power
+comparators.
 
 The empirical risk curve is a prefix sum over the score-sorted calibration
 data read at each grid point.  A threshold call makes one stable sort of the
 calibration scores and costs O((n + g) log n) time and O(n + g) memory for a
-grid of g points, plus O(k * n) time and memory for the k-by-n sign draws
-the Rademacher variant consumes.
+grid of g points, plus O(k * n) time and memory for the k-by-n signs the
+Rademacher variant draws: k is ``rademacher_draws`` for the marginal risk
+and twice that for the selective risk.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import ScoreKitError, _check_alpha, _sorted_prefix, validate_batch
 __all__ = [
     "InvalidConfig",
     "BaselineConfig",
-    "rademacher_signs",
     "concentration_mdr_threshold",
     "concentration_sdr_threshold",
 ]
@@ -61,24 +62,8 @@ class BaselineConfig:
             raise InvalidConfig(f"rademacher_draws must be >= 1, got {self.rademacher_draws!r}")
 
 
-def rademacher_signs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """Draw a (k, n) array of independent signs in {-1, +1}."""
-    return rng.choice(np.array([-1.0, 1.0]), size=(k, n))
-
-
-def _as_signs(rng_draws, k: int, n: int) -> np.ndarray:
-    size = None if rng_draws is None else np.size(rng_draws)
-    if size != k * n:
-        raise InvalidConfig(f"the Rademacher variant needs rng_draws of {k * n} signs "
-                            f"({k} draws of {n}), got {size}")
-    signs = np.asarray(rng_draws, dtype=float).reshape(k, n)
-    if not np.all(np.abs(signs) == 1.0):
-        raise InvalidConfig("rng_draws must contain only -1 and +1 signs")
-    return signs
-
-
-def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_draws,
-                             selective: bool) -> float | None:
+def _concentration_threshold(calib, config: BaselineConfig, alpha: float,
+                             rng: np.random.Generator | None, selective: bool) -> float | None:
     """The largest grid point whose bounded risk curve stays below ``alpha``.
 
     The curve is the risk mass below t over n, plus its slack; ``selective``
@@ -95,6 +80,8 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
     sums at ``inner`` positions belong to no threshold and are left out.
     """
     _check_alpha(alpha)
+    if config.kind == "rademacher" and rng is None:
+        raise InvalidConfig("the Rademacher variant draws its signs from rng, got None")
     batch = validate_batch(calib)
     n, risks = batch.n, batch.calib_risks
     curves = 2 if selective else 1               # risk mass, then score mass
@@ -110,7 +97,8 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
         below = np.flatnonzero(~inner) + 1      # the count of scores <= each tie group's last score
         grid = sorted_scores[below - 1]
         k = config.rademacher_draws
-        partial = _as_signs(rng_draws, curves * k, n)[:, order]   # the one array, worked in place
+        # The signs in score order: the one array, worked in place.
+        partial = rng.choice(np.array([-1.0, 1.0]), size=(curves * k, n))[:, order]
         partial[:k] *= risks[order]
         np.cumsum(partial, axis=1, out=partial)
         partial[:, inner] = -np.inf
@@ -128,20 +116,21 @@ def _concentration_threshold(calib, config: BaselineConfig, alpha: float, rng_dr
 
 
 def concentration_mdr_threshold(calib, config: BaselineConfig, alpha: float,
-                                rng_draws=None) -> float | None:
+                                rng: np.random.Generator | None = None) -> float | None:
     """Largest threshold whose bounded marginal-risk estimate stays below
     ``alpha``; ``None`` when no grid point qualifies.
 
     ``calib`` holds CalibSample / ``(score, risk[, weight])`` items or is a
     :class:`ValidatedBatch`; weights and test points are not used.
-    ``rng_draws`` must supply ``rademacher_draws * n`` signs in {-1, +1} for
-    the Rademacher variant (unused for Hoeffding).
+    The Rademacher variant needs ``rng`` and draws ``rademacher_draws * n``
+    signs in {-1, +1} from it in one call; Hoeffding draws nothing and leaves
+    ``rng`` untouched.
     """
-    return _concentration_threshold(calib, config, alpha, rng_draws, selective=False)
+    return _concentration_threshold(calib, config, alpha, rng, selective=False)
 
 
 def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
-                                rng_draws=None) -> float | None:
+                                rng: np.random.Generator | None = None) -> float | None:
     """Largest threshold whose bounded selective-risk estimate stays below
     ``alpha``; ``None`` when no grid point qualifies.  ``calib`` is read as
     in :func:`concentration_mdr_threshold`.
@@ -149,7 +138,8 @@ def concentration_sdr_threshold(calib, config: BaselineConfig, alpha: float,
     The numerator (risk mass below t) is bounded from above and the
     denominator (score mass below t) from below; their ratio is ``inf``
     whenever the denominator bound is not positive.  The Rademacher variant
-    consumes ``2 * rademacher_draws * n`` signs: one block for the
-    risk-weighted class, one for the indicator class.
+    draws ``2 * rademacher_draws * n`` signs from ``rng`` in one call: the
+    first ``rademacher_draws`` rows for the risk-weighted class, the rest for
+    the indicator class.
     """
-    return _concentration_threshold(calib, config, alpha, rng_draws, selective=True)
+    return _concentration_threshold(calib, config, alpha, rng, selective=True)

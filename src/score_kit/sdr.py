@@ -43,7 +43,8 @@ e-value at ``t_j(0)`` in closed form, exact in floating point.  With unit
 weights it still locates them by one ``O(n+m)`` pass per point, which gives
 the locator's positions and is the only Python loop that visits every
 point, until the select-sdr benchmark bounds the state it keeps per
-operation (see ``_sdr_kernel_grid``).
+operation: there the keyed locator on unit weights reads 5.5 times the
+points per second and 3 times the peak RSS (see ``_sdr_kernel_grid``).
 """
 
 from __future__ import annotations
@@ -141,13 +142,17 @@ def _sdr_kernel_grid(batch: ValidatedBatch, gammas):
     Unit weights take :func:`_pointwise_positions`, ``O(n+m)`` per point and
     level, which the keyed locator's tests also take as their reference.
 
-    Unit weights keep the loop for one reason.  Faster locators with the same
-    bits exist: the loop without per-point temporaries, or the keyed locator
-    that every other reader already takes.  But the select-sdr benchmark
-    keeps state per completed operation: without temporaries, 55-75% more
-    ``points_per_s`` put its ``peak_rss_mb`` at 98-105 MB against 76 MB,
-    past the 0.1 bound.  The loop goes once the benchmark bounds that state
-    (ROADMAP.md item 1).
+    Unit weights keep the loop for one reason.  The keyed locator, which
+    every other reader already takes, gives the same bits faster, but the
+    select-sdr benchmark keeps about 36 KB per completed operation: each
+    input's reference e-values are a view that pins its whole parsed output
+    (32 KB), and its test scores a view that pins all 5000 pooled scores
+    (40 KB), six inputs per twelve-operation cycle.  With ``locate =
+    _keyed_positions`` for every call, a 30-s seed-1 run (2 vCPU, numpy
+    2.4.6) read 174.8k against 31.9k ``points_per_s`` and 5.6 against 30.7
+    ms ``latency_p50_s``, all 5260 ops correct and every oracle companion
+    agreeing, but 227.7 against 74.9 MB ``peak_rss_mb``, past its 0.1 bound.
+    The loop goes once the benchmark bounds that state (ROADMAP.md item 1).
 
     Returns ``(evalues, t0, t1)``, each of shape ``(len(gammas), m)``, with
     ``nan`` marking absent thresholds.
@@ -396,7 +401,9 @@ def weighted_sdr_evalues(calib, tests, gamma: float) -> SdrEvalueSet:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> np.ndarray:
+def _oracle_ells(grid_size: int, ell_set) -> np.ndarray:
+    """The candidate ells every point shares, checked once: ``ell_set``'s
+    values, or the uniform grid, to which each point adds its breakpoints."""
     if ell_set is not None:
         ells = np.asarray(sorted(set(float(x) for x in ell_set)), dtype=float)
         if ells.size == 0:
@@ -407,14 +414,11 @@ def _oracle_ell_candidates(grid_size: int, breakpoints: np.ndarray, ell_set) -> 
         return ells
     if grid_size < 2:
         raise ValueError(f"ell_grid_size must be >= 2, got {grid_size!r}")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    bp = breakpoints[np.isfinite(breakpoints)]
-    bp = np.clip(bp, 0.0, 1.0)
-    return np.unique(np.concatenate([grid, [0.0, 1.0], bp]))
+    return np.linspace(0.0, 1.0, grid_size)
 
 
-def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
-                             ell_grid_size: int, ell_set):
+def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float, ells: np.ndarray,
+                             with_breakpoints: bool) -> tuple[float, float, float]:
     """Point ``j``'s ``(e-value, t(0), t(1))`` from its sums at every distinct
     pooled threshold, taken by direct comparison (no prefix machinery)."""
     m = batch.m
@@ -437,12 +441,16 @@ def _weighted_sdr_oracle_one(batch: ValidatedBatch, j: int, gamma: float,
               for i in (last_feasible(0.0), last_feasible(1.0)))
     best = np.inf
     with np.errstate(over="ignore", divide="ignore"):   # an overflow, or total_w / 0, reads inf
-        breakpoints = (gamma * total_w * nt / m - wl_sum) / wj
         # Without ell_set no candidate reads below its threshold's value where
         # the ratio reaches gamma (see _BOUNDARY_TOL); with it, each reads its
         # own objective.
-        floor = np.minimum(total_w / wl_sum, m / (gamma * nt)) if ell_set is None else np.zeros_like(nt)
-        for ell in _oracle_ell_candidates(ell_grid_size, breakpoints, ell_set):
+        if with_breakpoints:
+            breakpoints = (gamma * total_w * nt / m - wl_sum) / wj
+            ells = np.unique(np.concatenate([ells, np.clip(breakpoints[np.isfinite(breakpoints)], 0.0, 1.0)]))
+            floor = np.minimum(total_w / wl_sum, m / (gamma * nt))
+        else:
+            floor = np.zeros_like(nt)
+        for ell in ells:
             i = last_feasible(ell)
             if i < 0 or sj > thresholds[i]:
                 return 0.0, t0, t1
@@ -473,7 +481,8 @@ def weighted_sdr_evalues_oracle(calib, tests, gamma: float, ell_grid_size: int =
     """Weighted analogue of :func:`sdr_evalues_oracle`."""
     _check_gamma(gamma)
     batch = validate_batch(calib, tests)
-    rows = [_weighted_sdr_oracle_one(batch, j, gamma, ell_grid_size, ell_set) for j in range(batch.m)]
+    ells = _oracle_ells(ell_grid_size, ell_set)
+    rows = [_weighted_sdr_oracle_one(batch, j, gamma, ells, ell_set is None) for j in range(batch.m)]
     # The reshape keeps three columns when there are no test points.
     return SdrEvalueSet(*np.array(rows, dtype=float).reshape(batch.m, 3).T.copy())
 

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .baselines import BaselineConfig, concentration_mdr_threshold, concentration_sdr_threshold, rademacher_signs
+from .baselines import BaselineConfig, concentration_mdr_threshold, concentration_sdr_threshold
 from .core import Levels, ScoreKitError, ValidatedBatch, _write_csv
 from .mdr import deploy_mask
 from .models import _sigmoid, knn_fit, knn_predict, logistic_fit_weights, ratio_scores, weight_predict
@@ -444,10 +444,8 @@ def _baseline_select(kind: str, config: ExperimentConfig, batch: ValidatedBatch,
     """Indices selected by a concentration baseline at level alpha; the
     baselines read only the batch's scores and calibration risks."""
     bconf = BaselineConfig(kind=kind)
-    mdr = config.method == "mdr"
-    draws = (rademacher_signs(rng, (1 if mdr else 2) * bconf.rademacher_draws, batch.n)
-             if kind == "rademacher" else None)
-    t_hat = (concentration_mdr_threshold if mdr else concentration_sdr_threshold)(batch, bconf, alpha, draws)
+    threshold = concentration_mdr_threshold if config.method == "mdr" else concentration_sdr_threshold
+    t_hat = threshold(batch, bconf, alpha, rng)
     if t_hat is None:
         return np.empty(0, dtype=int)
     return np.flatnonzero(batch.test_scores <= t_hat)

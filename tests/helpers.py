@@ -153,8 +153,9 @@ def dense_empirical_rademacher(scores, values, signs):
     return float(np.mean(sups)) / scores.size
 
 
-def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
-    """``concentration_mdr_threshold`` from a grid-by-n comparison matrix."""
+def dense_concentration_mdr_threshold(calib, config, alpha, signs=None):
+    """``concentration_mdr_threshold`` from a grid-by-n comparison matrix, on
+    the ``(rademacher_draws, n)`` signs its Rademacher variant draws."""
     batch = validate_batch(calib)
     n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
     if config.kind == "hoeffding":
@@ -162,7 +163,6 @@ def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
         slack = np.sqrt(np.log(2.0 * config.grid_size / config.delta) / (2.0 * n))
     else:
         grid = np.unique(scores)
-        signs = np.asarray(rng_draws, dtype=float).reshape(config.rademacher_draws, n)
         rad = dense_empirical_rademacher(scores, risks, signs)
         slack = 2.0 * rad + 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * n))
     mdr_hat = np.sum(risks[None, :] * (scores[None, :] <= grid[:, None]), axis=1) / n
@@ -170,8 +170,9 @@ def dense_concentration_mdr_threshold(calib, config, alpha, rng_draws=None):
     return float(grid[ok[-1]]) if ok.size else None
 
 
-def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
-    """``concentration_sdr_threshold`` from a grid-by-n comparison matrix."""
+def dense_concentration_sdr_threshold(calib, config, alpha, signs=None):
+    """``concentration_sdr_threshold`` from a grid-by-n comparison matrix, on
+    the ``(2 * rademacher_draws, n)`` signs its Rademacher variant draws."""
     batch = validate_batch(calib)
     n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
     if config.kind == "hoeffding":
@@ -180,7 +181,6 @@ def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
     else:
         grid = np.unique(scores)
         k = config.rademacher_draws
-        signs = np.asarray(rng_draws, dtype=float).reshape(2 * k, n)
         tail = 3.0 * np.sqrt(np.log(4.0 / config.delta) / (2.0 * n))
         num_slack = 2.0 * dense_empirical_rademacher(scores, risks, signs[:k]) + tail
         den_slack = 2.0 * dense_empirical_rademacher(scores, np.ones(n), signs[k:]) + tail
@@ -193,7 +193,7 @@ def dense_concentration_sdr_threshold(calib, config, alpha, rng_draws=None):
     return float(grid[ok[-1]]) if ok.size else None
 
 
-def three_temporary_rademacher_curve(calib, config, rng_draws, selective):
+def three_temporary_rademacher_curve(calib, config, signs, selective):
     """``(grid, bound)``: the Rademacher variant's thresholds and bounded risk
     curve for distinct scores, each class's term from three temporaries (the
     gathered product, its cumsum and each draw's maximum).  Every score is
@@ -204,7 +204,7 @@ def three_temporary_rademacher_curve(calib, config, rng_draws, selective):
     n, scores, risks = batch.n, batch.calib_scores, batch.calib_risks
     curves = 2 if selective else 1
     order = np.argsort(scores, kind="stable")
-    signs = np.asarray(rng_draws, dtype=float).reshape(curves, config.rademacher_draws, n)
+    signs = signs.reshape(curves, config.rademacher_draws, n)
     tail = 3.0 * np.sqrt(np.log(2.0 * curves / config.delta) / (2.0 * n))
     slack = []
     for values, draws in zip((risks, np.ones(n)), signs):

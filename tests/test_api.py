@@ -12,7 +12,7 @@ MODULES = (baselines, core, mdr, models, sdr, selection, simulate)
 
 PUBLIC = {
     "BaselineConfig", "InvalidConfig", "concentration_mdr_threshold",
-    "concentration_sdr_threshold", "rademacher_signs",
+    "concentration_sdr_threshold",
     "CalibSample", "EmptyCalibration", "Levels", "NonFiniteScore", "NonPositiveWeight",
     "OutOfRange", "RiskOutOfRange", "RiskRescaler", "SchemaError", "ScoreKitError",
     "TestPoint", "ValidatedBatch", "read_calibration_csv", "read_test_csv",

@@ -4,13 +4,30 @@ import numpy as np
 import pytest
 
 from score_kit import (BaselineConfig, InvalidAlpha, InvalidConfig, concentration_mdr_threshold,
-                       concentration_sdr_threshold, rademacher_signs, validate_batch)
+                       concentration_sdr_threshold, validate_batch)
 from helpers import (dense_concentration_mdr_threshold, dense_concentration_sdr_threshold,
                      three_temporary_rademacher_curve)
 
 
 def _hoeffding_eps(n, grid_size, delta):
     return np.sqrt(np.log(2 * grid_size / delta) / (2 * n))
+
+
+def _twin_signs(seed, rows, n):
+    """The signs a Rademacher call draws from ``np.random.default_rng(seed)``:
+    ``rademacher_draws`` rows for the marginal risk, twice that for the
+    selective risk."""
+    return np.random.default_rng(seed).choice(np.array([-1.0, 1.0]), size=(rows, n))
+
+
+class _FixedDraw:
+    """A generator stand-in whose one draw is a given sign pattern."""
+
+    def __init__(self, signs):
+        self.signs = np.asarray(signs, dtype=float)
+
+    def choice(self, a, size):
+        return self.signs.reshape(size)
 
 
 def test_slack_formula_example():
@@ -25,10 +42,9 @@ def test_both_baselines_reject_a_level_outside_the_unit_interval(kind, alpha):
     # everything" (1.0).
     calib = [(0.1, 0.2), (0.4, 0.1), (0.7, 0.3)]
     config = BaselineConfig(kind, rademacher_draws=2)
-    signs = rademacher_signs(np.random.default_rng(0), 4, 3)
-    for threshold, draws in ((concentration_mdr_threshold, signs[:2]), (concentration_sdr_threshold, signs)):
+    for threshold in (concentration_mdr_threshold, concentration_sdr_threshold):
         with pytest.raises(InvalidAlpha, match="alpha must lie in"):
-            threshold(calib, config, alpha, draws)
+            threshold(calib, config, alpha, np.random.default_rng(0))
 
 
 def test_mdr_hoeffding_zero_risks_selects_top():
@@ -55,8 +71,7 @@ def test_mdr_rademacher_runs_and_bounds():
     n = 400
     calib = list(zip(rng.uniform(size=n), rng.uniform(0.0, 0.2, size=n)))
     config = BaselineConfig("rademacher", delta=0.1)
-    signs = rademacher_signs(rng, config.rademacher_draws, n)
-    t = concentration_mdr_threshold(calib, config, alpha=0.5, rng_draws=signs)
+    t = concentration_mdr_threshold(calib, config, alpha=0.5, rng=rng)
     assert t is None or 0.0 <= t <= 1.0
 
 
@@ -149,9 +164,6 @@ def test_invalid_config():
         BaselineConfig("hoeffding", delta=1.2)
     with pytest.raises(InvalidConfig):
         BaselineConfig("hoeffding", grid_size=1)
-    with pytest.raises(InvalidConfig):
-        concentration_mdr_threshold([(0.1, 0.2)], BaselineConfig("rademacher"),
-                                    alpha=0.3, rng_draws=np.zeros((100, 1)))
 
 
 def test_batch_and_pairs_give_same_threshold():
@@ -164,19 +176,18 @@ def test_batch_and_pairs_give_same_threshold():
     found = []
     for kind in ("hoeffding", "rademacher"):
         config = BaselineConfig(kind)
-        draws = rademacher_signs(rng, 2 * config.rademacher_draws, n)
-        for fn, signs in ((concentration_mdr_threshold, draws[:config.rademacher_draws]),
-                          (concentration_sdr_threshold, draws)):
-            for alpha in (0.1, 0.2, 0.4):
-                from_pairs = fn(list(zip(scores, risks)), config, alpha, signs)
-                assert fn(batch, config, alpha, signs) == from_pairs
+        for fn in (concentration_mdr_threshold, concentration_sdr_threshold):
+            for seed, alpha in enumerate((0.1, 0.2, 0.4)):
+                from_pairs = fn(list(zip(scores, risks)), config, alpha, np.random.default_rng(seed))
+                assert fn(batch, config, alpha, np.random.default_rng(seed)) == from_pairs
                 found.append(from_pairs)
     assert sum(t is not None and t < 1.0 for t in found) >= 3
 
 
 def test_thresholds_equal_dense_reference():
     # 0.1-grid tied scores and quarter risks keep every sum exact, so the
-    # sorted-prefix curves must pick the same thresholds as the dense matrix
+    # sorted-prefix curves must pick the same thresholds as the dense matrix,
+    # which reads the signs a twin generator draws
     rng = np.random.default_rng(70)
     alphas = (0.1, 0.2, 0.25, 0.3, 0.5)
     found = 0
@@ -186,14 +197,13 @@ def test_thresholds_equal_dense_reference():
         risks = np.round(4.0 * np.clip(scores * rng.uniform(0.0, 0.6, size=n), 0.0, 1.0)) / 4.0
         config = BaselineConfig(("hoeffding", "rademacher")[i % 2], delta=0.2,
                                 grid_size=int(rng.integers(2, 60)), rademacher_draws=8)
-        draws = rademacher_signs(rng, 2 * config.rademacher_draws, n)
+        k = config.rademacher_draws
         alpha = alphas[i % 5]
         calib = list(zip(scores, risks))
-        t_mdr = concentration_mdr_threshold(calib, config, alpha, draws[:config.rademacher_draws])
-        assert t_mdr == dense_concentration_mdr_threshold(calib, config, alpha,
-                                                          draws[:config.rademacher_draws])
-        t_sdr = concentration_sdr_threshold(calib, config, alpha, draws)
-        assert t_sdr == dense_concentration_sdr_threshold(calib, config, alpha, draws)
+        t_mdr = concentration_mdr_threshold(calib, config, alpha, np.random.default_rng(i))
+        assert t_mdr == dense_concentration_mdr_threshold(calib, config, alpha, _twin_signs(i, k, n))
+        t_sdr = concentration_sdr_threshold(calib, config, alpha, np.random.default_rng(i))
+        assert t_sdr == dense_concentration_sdr_threshold(calib, config, alpha, _twin_signs(i, 2 * k, n))
         found += (t_mdr is not None) + (t_sdr is not None)
     assert found >= 1000
 
@@ -209,33 +219,56 @@ def test_rademacher_thresholds_equal_the_three_temporary_expression():
         n, draws = int(rng.integers(1, 300)), int(rng.integers(1, 40))
         calib = list(zip(rng.uniform(size=n), rng.uniform(size=n)))
         config = BaselineConfig("rademacher", delta=float(rng.uniform(0.01, 0.5)), rademacher_draws=draws)
-        signs = rademacher_signs(rng, 2 * draws, n)
-        kept = signs.copy()
-        for threshold, block, selective in ((concentration_mdr_threshold, signs[:draws], False),
-                                            (concentration_sdr_threshold, signs, True)):
-            grid, bound = three_temporary_rademacher_curve(calib, config, block, selective)
+        for threshold, blocks in ((concentration_mdr_threshold, 1), (concentration_sdr_threshold, 2)):
+            selective = blocks == 2
+            grid, bound = three_temporary_rademacher_curve(calib, config, _twin_signs(k, blocks * draws, n),
+                                                           selective)
             levels = bound[(bound > 0.0) & (bound < 1.0)]
             for alpha in (*rng.choice(levels, size=min(2, levels.size)), float(rng.uniform(0.05, 0.95))):
                 ok = np.flatnonzero(bound <= alpha)
                 want = float(grid[ok[-1]]) if ok.size else None
-                assert threshold(calib, config, alpha, block) == want, (k, selective, alpha)
+                assert threshold(calib, config, alpha, np.random.default_rng(k)) == want, (k, selective, alpha)
             boundary += min(2, levels.size)
-        assert np.array_equal(signs, kept)
     assert boundary >= 300, boundary
     # Sixteen tied scores admit no threshold between them, so the alternating
     # draw gives a Rademacher term of 0, not the 0.0625 of the sum after the
     # first: the bound at 0.5 is then exactly 0.0625 + tail, a level below 1.
     config = BaselineConfig("rademacher", rademacher_draws=1)
     tail = 3.0 * np.sqrt(np.log(2.0 / config.delta) / (2.0 * 16))
-    assert concentration_mdr_threshold([(0.5, 0.0625)] * 16, config, 0.0625 + tail, [1.0, -1.0] * 8) == 0.5
+    draw = _FixedDraw([1.0, -1.0] * 8)
+    assert concentration_mdr_threshold([(0.5, 0.0625)] * 16, config, 0.0625 + tail, draw) == 0.5
 
 
 @pytest.mark.parametrize("threshold, blocks", [(concentration_mdr_threshold, 1),
-                                               (concentration_sdr_threshold, 2)])
-def test_rademacher_draws_of_the_wrong_size_raise_a_named_error(threshold, blocks):
+                                               (concentration_sdr_threshold, 2)], ids=["mdr", "sdr"])
+def test_a_rademacher_call_draws_its_signs_in_one_choice(threshold, blocks):
+    # The call leaves its generator where a twin sits after one
+    # choice([-1, 1], size=(blocks * k, n)), and its threshold is the dense
+    # reference's on the twin's signs; Hoeffding draws nothing.
+    rng = np.random.default_rng(72)
+    dense = dense_concentration_mdr_threshold if blocks == 1 else dense_concentration_sdr_threshold
+    k, found = 6, 0
+    for seed in range(40):
+        n = int(rng.integers(200, 600))
+        scores = rng.integers(0, 11, size=n) / 10
+        risks = np.round(4.0 * np.clip(scores * rng.uniform(0.0, 0.6, size=n), 0.0, 1.0)) / 4.0
+        calib, alpha = list(zip(scores, risks)), float(rng.choice([0.5, 0.8]))
+        config = BaselineConfig("rademacher", delta=0.2, rademacher_draws=k)
+        drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        signs = twin.choice(np.array([-1.0, 1.0]), size=(blocks * k, n))
+        t = threshold(calib, config, alpha, drawn)
+        assert t == dense(calib, config, alpha, signs), seed
+        assert drawn.uniform() == twin.uniform(), seed
+        found += t is not None
+        untouched = np.random.default_rng(seed)
+        threshold(calib, BaselineConfig("hoeffding"), alpha, untouched)
+        assert untouched.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    assert found >= 20, found
+
+
+@pytest.mark.parametrize("threshold", [concentration_mdr_threshold, concentration_sdr_threshold],
+                         ids=["mdr", "sdr"])
+def test_a_rademacher_call_without_a_generator_raises_invalid_config(threshold):
     calib = [(0.1, 0.2), (0.4, 0.1), (0.7, 0.3)]
-    config = BaselineConfig("rademacher", rademacher_draws=5)
-    want = blocks * 5 * 3
-    for draws, got in ((None, "None"), (np.ones(want - 1), want - 1), (np.ones(want + 1), want + 1)):
-        with pytest.raises(InvalidConfig, match=rf"needs rng_draws of {want} signs .* got {got}$"):
-            threshold(calib, config, 0.3, draws)
+    with pytest.raises(InvalidConfig, match="draws its signs from rng, got None$"):
+        threshold(calib, BaselineConfig("rademacher", rademacher_draws=5), 0.3)

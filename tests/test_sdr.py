@@ -667,10 +667,25 @@ ELL_CALIB = [(0.1, 0.0), (0.4, 0.1), (0.7, 0.2)]
     lambda ell: weighted_sdr_evalues_oracle(ELL_CALIB, [(0.2, 2.0)], 0.5, ell_set=(ell,)),
     lambda ell: mdr_evalue_oracle(ELL_CALIB, 0.2, 0.5, ell_set=(ell,)),
     lambda ell: weighted_mdr_evalue_oracle(ELL_CALIB, (0.2, 2.0), 0.5, ell_set=(0.5, ell)),
-], ids=["fixed-ell", "oracle", "weighted-oracle", "mdr-oracle", "weighted-mdr-oracle"])
+    lambda ell: sdr_evalues_oracle(ELL_CALIB, [], 0.5, ell_set=(ell,)),
+    lambda ell: weighted_sdr_evalues_oracle(ELL_CALIB, [], 0.5, ell_set=(0.5, ell)),
+], ids=["fixed-ell", "oracle", "weighted-oracle", "mdr-oracle", "weighted-mdr-oracle",
+        "oracle-no-tests", "weighted-oracle-no-tests"])
 def test_an_ell_outside_the_unit_interval_is_a_named_error(call, ell):
+    # The oracles check their arguments before the loop over test points, so
+    # a batch with none raises the same error.
     with pytest.raises(ValueError, match=re.escape(f"ell must lie in [0, 1], got {ell!r}")):
         call(ell)
+
+
+@pytest.mark.parametrize("tests", [[], [0.2, 0.5]], ids=["no-tests", "two-tests"])
+@pytest.mark.parametrize("oracle", [sdr_evalues_oracle, weighted_sdr_evalues_oracle])
+def test_an_empty_ell_set_or_a_short_ell_grid_is_a_named_error(oracle, tests):
+    with pytest.raises(ValueError, match="ell_set must be non-empty"):
+        oracle(ELL_CALIB, tests, 0.5, ell_set=())
+    for size in (0, 1):
+        with pytest.raises(ValueError, match=f"ell_grid_size must be >= 2, got {size}$"):
+            oracle(ELL_CALIB, tests, 0.5, ell_grid_size=size)
 
 
 @pytest.mark.parametrize("ell", [0.0, 1.0])
